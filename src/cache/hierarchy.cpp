@@ -91,7 +91,7 @@ void Hierarchy::handle_l3_eviction(const Eviction& ev, util::Cycle now) {
   if (dirty) {
     // Write the victim back to DRAM (off the demand critical path, but it
     // perturbs row-buffer state — a real noise source for the attacks).
-    controller_->access(addr_of(ev.line), now, actor_);
+    dram_access(addr_of(ev.line), now);
   }
 }
 
@@ -119,7 +119,7 @@ void Hierarchy::issue_prefetches(const std::vector<LineAddr>& candidates,
     if (addr >= controller_->mapping().capacity()) continue;
     if (l2_.contains(line) || l3_.contains(line)) continue;
     ++prefetch_fills_;
-    controller_->access(addr, now, actor_);  // DRAM-side pollution.
+    dram_access(addr, now);  // DRAM-side pollution.
     // Both levels verified absent just above (back-invalidation of the L3
     // victim cannot re-insert `line`), so the fills skip the re-probe.
     if (const auto ev3 = l3_.fill_known_miss(line, false)) {
@@ -196,7 +196,7 @@ MemAccessResult Hierarchy::access(dram::PhysAddr addr, util::Cycle now,
   }
 
   // Demand miss all the way to DRAM.
-  const auto mem = controller_->access(addr, now + r.latency, actor_);
+  const auto mem = dram_access(addr, now + r.latency);
   r.latency += mem.latency;
   r.level = HitLevel::kMemory;
   r.dram_outcome = mem.outcome;
@@ -210,16 +210,19 @@ MemAccessResult Hierarchy::access(dram::PhysAddr addr, util::Cycle now,
   return r;
 }
 
-void Hierarchy::access_batch(const dram::PhysAddr* addrs,
-                             const util::Cycle* issue, std::size_t n,
-                             MemAccessResult* results, bool is_write) {
-  // Stateful in-order front end (see header): one tight loop over the
-  // scalar body keeps every replacement/prefetcher decision identical.
-  for (std::size_t i = 0; i < n; ++i) {
-    results[i] = access(addrs[i], issue[i], is_write);
-  }
+dram::AccessResult Hierarchy::record_dram(dram::PhysAddr addr) {
+  dram_log_->push_back(static_cast<std::uint32_t>(line_of(addr)));
+  return {};  // A recorded request costs no cycles.
 }
 // SIMLINT-HOT-END
+
+void Hierarchy::set_dram_log(std::vector<std::uint32_t>* log) {
+  util::check(log == nullptr ||
+                  controller_->mapping().capacity() / config_.l1.line_bytes <=
+                      (std::uint64_t{1} << 32),
+              "Hierarchy::set_dram_log: line index exceeds 32 bits");
+  dram_log_ = log;
+}
 
 util::Cycle Hierarchy::clflush(dram::PhysAddr addr, util::Cycle now) {
   const LineAddr line = line_of(addr);
@@ -231,7 +234,7 @@ util::Cycle Hierarchy::clflush(dram::PhysAddr addr, util::Cycle now) {
   if (const auto e3 = l3_.invalidate(line)) dirty = dirty || e3->dirty;
   if (dirty) {
     // §3.2: the write-back to main memory lands on the critical path.
-    const auto wb = controller_->access(addr, now + latency, actor_);
+    const auto wb = dram_access(addr, now + latency);
     latency += wb.latency;
   }
   return latency;
@@ -264,8 +267,7 @@ util::Cycle Hierarchy::evict_via_set(dram::PhysAddr addr, util::Cycle now,
     lookup_cycles += full_lookup_latency();
     const std::uint32_t way = l3_.probe(l);
     if (way == Cache::kNoWay) {
-      const auto mem =
-          controller_->access(addr_of(l), now + lookup_cycles, actor_);
+      const auto mem = dram_access(addr_of(l), now + lookup_cycles);
       dram_cycles += mem.latency;
       if (const auto ev3 = l3_.fill_known_miss(l)) {
         handle_l3_eviction(*ev3, now);
@@ -303,7 +305,7 @@ util::Cycle Hierarchy::store_nontemporal(dram::PhysAddr addr,
   l1_.invalidate(line);
   l2_.invalidate(line);
   l3_.invalidate(line);
-  const auto wb = controller_->access(addr, now + latency, actor_);
+  const auto wb = dram_access(addr, now + latency);
   latency += wb.latency;
   return latency;
 }

@@ -83,18 +83,15 @@ class Hierarchy {
   MemAccessResult access(dram::PhysAddr addr, util::Cycle now,
                          bool is_write = false, std::uint64_t pc = 0);
 
-  /// Batched front end of the access-stream API (docs/performance.md,
-  /// "Batched access streams"): resolves `n` independently-issued demand
-  /// accesses, filling `results[i]` bit-identically to
-  /// `access(addrs[i], issue[i], is_write)` in index order. Hits are
-  /// filtered in the flat tag arrays; only misses reach the controller.
-  /// Cache state (replacement, prefetchers, inclusive invalidation) chains
-  /// through the stream exactly as in the scalar sequence — this is the
-  /// stateful front end of the batch path, so requests are processed in
-  /// order rather than grouped.
-  void access_batch(const dram::PhysAddr* addrs, const util::Cycle* issue,
-                    std::size_t n, MemAccessResult* results,
-                    bool is_write = false);
+  /// Record mode (graph::run_multiprogrammed's policy-independent front
+  /// end, docs/performance.md "Front end / back end split"): while `log`
+  /// is set, every DRAM request — a demand miss, then the writebacks and
+  /// prefetch fills it triggers — is appended to `log` as a line index in
+  /// issue order instead of reaching the controller, and costs 0 cycles.
+  /// Cache state evolves exactly as with the controller attached. Pass
+  /// nullptr to leave record mode. Throws if a line index of the device
+  /// does not fit 32 bits.
+  void set_dram_log(std::vector<std::uint32_t>* log);
 
   /// x86 `clflush`: probes the LLC, writes back if dirty (write-back latency
   /// lands on the critical path, §3.2), invalidates everywhere. Returns the
@@ -155,6 +152,15 @@ class Hierarchy {
   void handle_l3_eviction(const Eviction& ev, util::Cycle now);
   void issue_prefetches(const std::vector<LineAddr>& candidates,
                         util::Cycle now);
+  /// The one seam through which the hierarchy reaches DRAM. Inline so the
+  /// record-mode check costs the miss path one predictable branch.
+  dram::AccessResult dram_access(dram::PhysAddr addr, util::Cycle now) {
+    // Exact only while this hierarchy is private to one actor and none of
+    // its decisions reads `now` or a DRAM result.
+    if (dram_log_ != nullptr) return record_dram(addr);
+    return controller_->access(addr, now, actor_);
+  }
+  dram::AccessResult record_dram(dram::PhysAddr addr);
 
   HierarchyConfig config_;
   dram::MemoryController* controller_;
@@ -166,6 +172,7 @@ class Hierarchy {
   IpStridePrefetcher ip_stride_;
   StreamerPrefetcher streamer_;
   std::uint64_t prefetch_fills_ = 0;
+  std::vector<std::uint32_t>* dram_log_ = nullptr;  ///< Record mode.
   /// Prefetch-candidate scratch, reused across accesses so the (very hot)
   /// miss path does not allocate. `access` is not reentrant, so one buffer
   /// per prefetcher suffices.

@@ -16,11 +16,13 @@ class Emitter {
 
   void read(ArrayRef a, std::uint32_t i, std::uint16_t compute,
             std::uint16_t pc) {
-    trace_->ops.push_back(TraceOp{a, i, false, compute, pc});
+    trace_->ops.push_back(
+        TraceOp{.index = i, .compute = compute, .pc = pc, .array = a});
   }
   void write(ArrayRef a, std::uint32_t i, std::uint16_t compute,
              std::uint16_t pc) {
-    trace_->ops.push_back(TraceOp{a, i, true, compute, pc});
+    trace_->ops.push_back(TraceOp{
+        .index = i, .compute = compute, .pc = pc, .array = a, .write = true});
   }
 
  private:

@@ -58,13 +58,16 @@ enum class ArrayRef : std::uint8_t {
 };
 inline constexpr std::size_t kArrayRefCount = 5;
 
+/// Fields ordered widest first so the op packs into 12 bytes (traces run
+/// to millions of ops per workload).
 struct TraceOp {
-  ArrayRef array = ArrayRef::kOffsets;
   std::uint32_t index = 0;    ///< Element index (4-byte elements).
-  bool write = false;
   std::uint16_t compute = 0;  ///< CPU cycles before this access.
   std::uint16_t pc = 0;       ///< Synthetic instruction address (prefetchers).
+  ArrayRef array = ArrayRef::kOffsets;
+  bool write = false;
 };
+static_assert(sizeof(TraceOp) == 12);
 
 struct WorkloadTrace {
   WorkloadKind kind = WorkloadKind::kBFS;

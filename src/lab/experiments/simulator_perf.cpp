@@ -10,6 +10,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cstddef>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -163,25 +164,33 @@ void BM_AccessBatch(benchmark::State& state) {
 BENCHMARK(BM_AccessBatch);
 
 void BM_MultiprogReplay(benchmark::State& state) {
-  // Fig. 11's inner loop: two co-scheduled instances replaying one shared
-  // trace. The input build (RMAT + trace generation) happens once, outside
-  // the timed region; items are replayed trace operations, both instances
-  // combined.
-  graph::MultiprogConfig config;
-  config.rmat_scale = 12;
-  config.edge_count = 32768;
-  config.system.cache_scale = 512;
-  const graph::WorkloadInput input =
+  // One Fig. 11 bar group: the default (fig11) configuration's BFS input
+  // replayed under all four row policies. Each iteration starts from a
+  // fresh copy of the input, made outside the timed region, so it pays
+  // the policy-independent front end once and the DRAM back end four
+  // times, as a cold grid does. Items are replayed accesses (both
+  // instances, all four cells), comparable to fig11's accesses/s per cell.
+  const graph::MultiprogConfig config;
+  const graph::WorkloadInput built =
       graph::build_input(config, graph::WorkloadKind::kBFS);
-  std::uint64_t instructions = 0;
+  constexpr dram::RowPolicy kPolicies[] = {
+      dram::RowPolicy::kOpenRow, dram::RowPolicy::kClosedRow,
+      dram::RowPolicy::kConstantTime, dram::RowPolicy::kAdaptive};
+  std::optional<graph::WorkloadInput> input;
+  std::uint64_t accesses = 0;
   for (auto _ : state) {
-    const auto stats = graph::run_multiprogrammed(
-        config, input, dram::RowPolicy::kOpenRow);
-    instructions = stats.instructions;
-    benchmark::DoNotOptimize(instructions);
+    state.PauseTiming();
+    input.emplace(built);  // A copy starts with a cold front-end memo.
+    state.ResumeTiming();
+    accesses = 0;
+    for (const dram::RowPolicy policy : kPolicies) {
+      const auto stats = graph::run_multiprogrammed(config, *input, policy);
+      accesses += stats.accesses;
+    }
+    benchmark::DoNotOptimize(accesses);
   }
-  state.SetItemsProcessed(static_cast<std::int64_t>(
-      state.iterations() * instructions));
+  state.SetItemsProcessed(
+      static_cast<std::int64_t>(state.iterations() * accesses));
 }
 BENCHMARK(BM_MultiprogReplay);
 

@@ -21,6 +21,9 @@ struct TlbLevelConfig {
   std::uint32_t entries = 64;
   std::uint32_t ways = 4;
   util::Cycle latency = 1;
+
+  friend bool operator==(const TlbLevelConfig&,
+                         const TlbLevelConfig&) = default;
 };
 
 struct TlbConfig {
@@ -30,6 +33,8 @@ struct TlbConfig {
   util::Cycle walk_latency = 80;      ///< Page-table walk (4 cached levels).
   std::uint32_t page_bits = 12;       ///< 4 KiB pages.
   std::uint32_t huge_page_bits = 21;  ///< 2 MiB pages.
+
+  friend bool operator==(const TlbConfig&, const TlbConfig&) = default;
 };
 
 struct TlbResult {

@@ -12,7 +12,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "cache/hierarchy.hpp"
 #include "check/protocol_checker.hpp"
 #include "dram/access_batch.hpp"
 #include "dram/controller.hpp"
@@ -263,43 +262,6 @@ TEST(AccessBatch, ReuseAfterClearIsDeterministic) {
     ASSERT_EQ(reused.latency[i], scalar[i].latency) << "request " << i;
     ASSERT_EQ(reused.outcome[i], scalar[i].outcome) << "request " << i;
   }
-}
-
-TEST(AccessBatch, HierarchyBatchMatchesScalar) {
-  // The cache front end is stateful (replacement, prefetchers), so its
-  // batch form is pinned as a stream: same hits, same misses, same DRAM
-  // traffic underneath.
-  const DramConfig config;
-  MemoryController scalar_mc(config);
-  MemoryController batch_mc(config);
-  cache::Hierarchy scalar_h(cache::HierarchyConfig::table2(), scalar_mc);
-  cache::Hierarchy batch_h(cache::HierarchyConfig::table2(), batch_mc);
-
-  const std::size_t n = 4096;
-  util::Xoshiro256 rng(kSeed + 10);
-  std::vector<PhysAddr> addrs;
-  std::vector<util::Cycle> issue;
-  util::Cycle clock = 1000;
-  for (std::size_t i = 0; i < n; ++i) {
-    addrs.push_back(rng.below(64ull << 20));  // 64 MiB working set.
-    issue.push_back(clock);
-    clock += 20;
-  }
-
-  std::vector<cache::MemAccessResult> scalar(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    scalar[i] = scalar_h.access(addrs[i], issue[i]);
-  }
-  std::vector<cache::MemAccessResult> batch(n);
-  batch_h.access_batch(addrs.data(), issue.data(), n, batch.data());
-
-  for (std::size_t i = 0; i < n; ++i) {
-    ASSERT_EQ(batch[i].latency, scalar[i].latency) << "request " << i;
-    ASSERT_EQ(batch[i].level, scalar[i].level) << "request " << i;
-    ASSERT_EQ(batch[i].dram_outcome, scalar[i].dram_outcome)
-        << "request " << i;
-  }
-  expect_stats_equal(scalar_mc, batch_mc);
 }
 
 }  // namespace

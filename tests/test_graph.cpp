@@ -2,10 +2,14 @@
 #include <gtest/gtest.h>
 
 #include <deque>
+#include <sstream>
+#include <string>
 
 #include "graph/graph.hpp"
 #include "graph/multiprog.hpp"
 #include "graph/workload.hpp"
+#include "obs/scope.hpp"
+#include "sys/system.hpp"
 
 namespace impact::graph {
 namespace {
@@ -186,6 +190,211 @@ TEST(Multiprog, ConstantTimeHidesRowState) {
   // Every DRAM access is padded: observable outcomes carry no hit signal.
   EXPECT_GT(stats.cycles, 0u);
 }
+
+// --- Front end / back end split ------------------------------------------
+//
+// run_multiprogrammed records each instance's TLB and cache work once per
+// input and replays only the DRAM requests per row policy. The reference
+// below is the replay it replaced: every access of both instances through
+// a sys::MemorySystem's AccessPort, interleaved by simulated time. The
+// split must reproduce it exactly — RunStats and every obs counter.
+
+constexpr dram::ActorId kRefInstanceA = 10;
+constexpr dram::ActorId kRefInstanceB = 11;
+
+struct RefArrays {
+  sys::VAddr base[kArrayRefCount] = {};
+};
+
+RefArrays ref_map_arrays(sys::MemorySystem& system, const CsrGraph& graph,
+                         const WorkloadTrace& trace, dram::ActorId actor,
+                         const RefArrays* shared_from) {
+  auto& vmem = system.vmem();
+  RefArrays m;
+  const auto pages = [&](std::uint64_t bytes) {
+    return (bytes + vmem.page_bytes() - 1) / vmem.page_bytes();
+  };
+  const std::uint64_t offset_pages =
+      pages((graph.nodes() + 1) * sizeof(std::uint32_t));
+  const std::uint64_t edge_pages = pages(graph.edges() * sizeof(NodeId));
+  if (shared_from == nullptr) {
+    m.base[0] = vmem.map_pages(actor, offset_pages).vaddr;
+    m.base[1] = vmem.map_pages(actor, edge_pages).vaddr;
+  } else {
+    m.base[0] = shared_from->base[0];
+    m.base[1] = shared_from->base[1];
+    vmem.share(kRefInstanceA, actor,
+               {m.base[0], offset_pages * vmem.page_bytes()});
+    vmem.share(kRefInstanceA, actor,
+               {m.base[1], edge_pages * vmem.page_bytes()});
+  }
+  for (int p = 0; p < 3; ++p) {
+    if (trace.private_elems[p] == 0) continue;
+    m.base[2 + p] =
+        vmem.map_pages(actor, pages(trace.private_elems[p] * 4ull)).vaddr;
+  }
+  return m;
+}
+
+RunStats reference_run(const MultiprogConfig& config,
+                       const WorkloadInput& input, dram::RowPolicy policy) {
+  sys::SystemConfig sys_config = config.system;
+  sys_config.cores = 2;
+  sys_config.dram.policy = policy;
+  sys::MemorySystem system(sys_config);
+  const WorkloadTrace& trace = input.trace;
+  const RefArrays map_a =
+      ref_map_arrays(system, input.graph, trace, kRefInstanceA, nullptr);
+  const RefArrays map_b =
+      ref_map_arrays(system, input.graph, trace, kRefInstanceB, &map_a);
+  sys::MemorySystem::AccessPort port_a = system.port(kRefInstanceA);
+  sys::MemorySystem::AccessPort port_b = system.port(kRefInstanceB);
+
+  RunStats stats;
+  const auto replay = [&](sys::MemorySystem::AccessPort& port,
+                          const RefArrays& map, const TraceOp& op,
+                          util::Cycle& clock) {
+    clock += op.compute;
+    stats.instructions += 1 + op.compute;
+    const sys::VAddr addr =
+        map.base[static_cast<std::size_t>(op.array)] + op.index * 4ull;
+    if (op.write) {
+      (void)port.store(addr, clock, op.pc);
+    } else {
+      (void)port.load(addr, clock, op.pc);
+    }
+  };
+  util::Cycle clock_a = 0;
+  util::Cycle clock_b = 0;
+  std::size_t ia = 0;
+  std::size_t ib = 0;
+  const std::size_t n = trace.ops.size();
+  // Per-op interleave: the instance that is behind goes next (A on ties).
+  while (ia < n || ib < n) {
+    if (ib >= n || (ia < n && clock_a <= clock_b)) {
+      replay(port_a, map_a, trace.ops[ia++], clock_a);
+    } else {
+      replay(port_b, map_b, trace.ops[ib++], clock_b);
+    }
+  }
+  stats.cycles = std::max(clock_a, clock_b);
+  stats.accesses = 2 * n;
+  stats.llc_misses = system.hierarchy(kRefInstanceA).l3().stats().misses +
+                     system.hierarchy(kRefInstanceB).l3().stats().misses;
+  stats.row_hit_rate = system.controller().total_stats().hit_rate();
+  if (obs::Registry* reg = obs::current_registry()) {
+    reg->counter("graph.instructions").add(stats.instructions);
+    reg->counter("graph.accesses").add(stats.accesses);
+    reg->counter("graph.llc_misses").add(stats.llc_misses);
+    reg->counter("graph.cycles").add(stats.cycles);
+    reg->gauge("graph.row_hit_rate").set(stats.row_hit_rate);
+    reg->gauge("graph.mpki").set(stats.mpki());
+  }
+  return stats;
+}
+
+/// One cell as a sweep sees it: the result, its own obs snapshot, and the
+/// DRAM command stream (kind, bank, start and completion of every command,
+/// in order) as a Chrome trace.
+struct CapturedCell {
+  RunStats stats;
+  obs::Snapshot snapshot;
+  std::string dram_trace;
+};
+
+template <class Run>
+CapturedCell capture(Run run) {
+  obs::TraceSession trace(1u << 20);
+  obs::Scope scope(&trace);
+  CapturedCell cell;
+  cell.stats = run();
+  cell.snapshot = scope.snapshot();
+  EXPECT_EQ(trace.dropped(), 0u);
+  std::ostringstream json;
+  trace.write_chrome_json(json);
+  cell.dram_trace = json.str();
+  return cell;
+}
+
+void expect_same_cell(const CapturedCell& got, const CapturedCell& want,
+                      const std::string& what) {
+  EXPECT_EQ(got.stats, want.stats) << what;
+  EXPECT_EQ(got.snapshot.counters, want.snapshot.counters) << what;
+  EXPECT_EQ(got.snapshot.gauges, want.snapshot.gauges) << what;
+  EXPECT_TRUE(got.dram_trace == want.dram_trace) << what;
+}
+
+constexpr dram::RowPolicy kAllPolicies[] = {
+    dram::RowPolicy::kOpenRow, dram::RowPolicy::kClosedRow,
+    dram::RowPolicy::kConstantTime, dram::RowPolicy::kAdaptive};
+
+MultiprogConfig split_config() {
+  MultiprogConfig config;
+  config.rmat_scale = 10;
+  config.edge_count = 1u << 13;
+  return config;
+}
+
+class FrontEndSplit : public ::testing::TestWithParam<WorkloadKind> {};
+
+TEST_P(FrontEndSplit, MatchesPerAccessReplayUnderEveryPolicy) {
+  const MultiprogConfig config = split_config();
+  const WorkloadInput input = build_input(config, GetParam());
+  for (const dram::RowPolicy policy : kAllPolicies) {
+    const CapturedCell want =
+        capture([&] { return reference_run(config, input, policy); });
+    const CapturedCell got =
+        capture([&] { return run_multiprogrammed(config, input, policy); });
+    expect_same_cell(got, want, to_string(policy));
+    if (obs::kCompiled) {
+      EXPECT_GT(got.snapshot.counter("cache.l1.hits"), 0u);
+      EXPECT_GT(got.snapshot.counter("tlb.accesses"), 0u);
+      EXPECT_GT(got.snapshot.counter("dram.commands"), 0u);
+    }
+  }
+}
+
+TEST_P(FrontEndSplit, WarmMemoRepeatsTheColdRun) {
+  const MultiprogConfig config = split_config();
+  const WorkloadInput built = build_input(config, GetParam());
+  for (const dram::RowPolicy policy : kAllPolicies) {
+    const WorkloadInput input = built;  // A copy starts with a cold memo.
+    const CapturedCell cold =
+        capture([&] { return run_multiprogrammed(config, input, policy); });
+    const CapturedCell warm =
+        capture([&] { return run_multiprogrammed(config, input, policy); });
+    expect_same_cell(warm, cold, to_string(policy));
+  }
+}
+
+TEST_P(FrontEndSplit, CacheConfigChangeRecordsAFreshFrontEnd) {
+  const MultiprogConfig config = split_config();
+  MultiprogConfig rescaled = config;
+  rescaled.system.cache_scale = 4 * config.system.cache_scale;
+  const WorkloadInput input = build_input(config, GetParam());
+  const RunStats first =
+      run_multiprogrammed(config, input, dram::RowPolicy::kOpenRow);
+  const CapturedCell want = capture([&] {
+    return reference_run(rescaled, input, dram::RowPolicy::kClosedRow);
+  });
+  const CapturedCell got = capture([&] {
+    return run_multiprogrammed(rescaled, input, dram::RowPolicy::kClosedRow);
+  });
+  expect_same_cell(got, want, "rescaled");
+  // The smaller caches must actually show: a stale front end would not.
+  EXPECT_GT(got.stats.llc_misses, first.llc_misses);
+  // Switching back records the original front end again.
+  EXPECT_EQ(run_multiprogrammed(config, input, dram::RowPolicy::kOpenRow),
+            first);
+}
+
+INSTANTIATE_TEST_SUITE_P(SmallInputs, FrontEndSplit,
+                         ::testing::Values(WorkloadKind::kBFS,
+                                           WorkloadKind::kCC,
+                                           WorkloadKind::kPR),
+                         [](const auto& info) {
+                           return std::string(to_string(info.param));
+                         });
 
 }  // namespace
 }  // namespace impact::graph

@@ -428,6 +428,56 @@ TEST(CellRunner, WarmDefenseMatrixIsBitIdenticalSerialAndParallel) {
   EXPECT_EQ(workloads.size(), 2u);
 }
 
+TEST(CellRunner, ColdSnapshotsMatchSerialOnAPoolAndPassVerify) {
+  // Each input's front end is recorded by whichever cell reaches it first
+  // and reused by the others; every cell must still carry the full
+  // per-cell telemetry, whatever the schedule.
+  const graph::MultiprogConfig config = tiny_config();
+  constexpr dram::RowPolicy kPolicies[] = {dram::RowPolicy::kOpenRow,
+                                           dram::RowPolicy::kClosedRow,
+                                           dram::RowPolicy::kConstantTime};
+  store::ResultCache serial_cache;
+  store::WorkloadStore serial_workloads;
+  store::CellRunner serial(serial_cache, serial_workloads, nullptr);
+  const auto want = serial.defense_matrix(config, kTwoKinds, kPolicies);
+  ASSERT_TRUE(want.ok());
+
+  store::ResultCache::Options options;
+  options.verify = true;
+  store::ResultCache pool_cache(options);
+  store::WorkloadStore pool_workloads;
+  exec::ThreadPool pool(4);
+  store::CellRunner parallel(pool_cache, pool_workloads, &pool);
+  const auto got = parallel.defense_matrix(config, kTwoKinds, kPolicies);
+  ASSERT_TRUE(got.ok());
+  EXPECT_EQ(got.report.cache_hits, 0u);
+  for (std::size_t w = 0; w < std::size(kTwoKinds); ++w) {
+    for (std::size_t p = 0; p < std::size(kPolicies); ++p) {
+      const auto& cell = got.cells[w][p];
+      EXPECT_FALSE(cell.cached);
+      EXPECT_EQ(cell.stats, want.cells[w][p].stats);
+      EXPECT_EQ(cell.snapshot.counters, want.cells[w][p].snapshot.counters)
+          << "cell " << w << "," << p;
+      if (obs::kCompiled) {
+        EXPECT_GT(cell.snapshot.counter("cache.l1.hits"), 0u);
+        EXPECT_GT(cell.snapshot.counter("tlb.accesses"), 0u);
+      }
+    }
+  }
+
+  // Verify mode re-simulates every cell (now on warm front ends) and
+  // aborts on any byte of divergence from the cold records.
+  const auto audit = parallel.defense_matrix(config, kTwoKinds, kPolicies);
+  ASSERT_TRUE(audit.ok());
+  EXPECT_EQ(audit.report.cache_hits, 0u);
+  for (std::size_t w = 0; w < std::size(kTwoKinds); ++w) {
+    for (std::size_t p = 0; p < std::size(kPolicies); ++p) {
+      EXPECT_EQ(audit.cells[w][p].snapshot.counters,
+                want.cells[w][p].snapshot.counters);
+    }
+  }
+}
+
 TEST(CellRunner, RowsReplayFromCacheWithoutRunningCells) {
   store::ResultCache cache;
   store::WorkloadStore workloads;

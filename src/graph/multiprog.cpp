@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <limits>
 #include <memory>
 #include <string>
 #include <utility>
@@ -64,32 +65,39 @@ ArrayMap map_arrays(sys::MemorySystem& system, const CsrGraph& graph,
   return m;
 }
 
-// One front-end code byte per trace op: the cache level that served it
-// (bits 0-1, cache::HitLevel), the TLB outcome (bits 2-3: L1 hit, L2 hit,
-// walk) and the number of follow-on DRAM requests (bits 4-7: writebacks
-// and prefetch fills, issued after the demand request of a miss).
-constexpr unsigned kTlbShift = 2;
-constexpr unsigned kFollowShift = 4;
-constexpr unsigned kMaxFollowOns = 15;
-constexpr unsigned kMemoryLevel =
-    static_cast<unsigned>(cache::HitLevel::kMemory);
+// Bounds of the packed FrontEnd::Event fields.
+constexpr std::uint32_t kMaxGap = std::numeric_limits<std::uint32_t>::max();
+constexpr util::Cycle kMaxLead = (util::Cycle{1} << 24) - 1;
+constexpr unsigned kMaxFollowOns = 127;
 
 }  // namespace
 
 struct FrontEnd {
+  /// One DRAM event: an op that sends at least one DRAM request, or a
+  /// filler that splits a gap too long for 32 bits (no requests, lead 0).
+  /// Its key — the instance's clock when the op starts — is the clock after
+  /// the previous event plus `gap`.
+  struct Event {
+    std::uint32_t gap = 0;  ///< Cycles of the skipped ops since the last event.
+    std::uint32_t lead : 24 = 0;  ///< This op's compute + TLB + lookups.
+    std::uint32_t demand : 1 = 0;  ///< A miss: its demand request comes first.
+    /// Writebacks and prefetch fills, sent when the demand completes.
+    std::uint32_t follow_ons : 7 = 0;
+  };
+  static_assert(sizeof(Event) == 8);
+
   /// One instance's recorded stream.
   struct Stream {
-    std::vector<std::uint8_t> codes;  ///< One per trace op (see above).
-    /// Line index of every DRAM request, in issue order.
-    std::vector<std::uint32_t> lines;
+    std::vector<Event> events;
+    /// Every DRAM request in send order, as `(bank << row_bits) | row`.
+    std::vector<std::uint32_t> requests;
+    util::Cycle trailing_gap = 0;  ///< Cycles of the ops after the last event.
   };
 
   sys::SystemConfig system;  ///< The config it was recorded under.
   Stream instances[2];
-  /// Cycles from an op's issue to its demand DRAM request (TLB plus cache
-  /// lookups), by the low four bits of its code.
-  util::Cycle pre_dram[16] = {};
-  std::uint32_t line_shift = 0;
+  std::uint32_t row_bits = 0;
+  std::uint64_t instructions = 0;  ///< Both instances; the same per policy.
   std::uint64_t llc_misses = 0;
   /// The front end's `cache.*` and `tlb.*` counters, added into the
   /// calling cell's registry on every run.
@@ -115,39 +123,68 @@ bool same_front_end(const sys::SystemConfig& a, const sys::SystemConfig& b) {
 /// hierarchy in record mode. Sound because the instance's TLB and
 /// hierarchy are private to it and none of their decisions reads the
 /// clock or a DRAM result: the hits, misses, prefetches and writebacks
-/// are the same under every row policy and every interleaving.
+/// are the same under every row policy and every interleaving. An op that
+/// sends nothing to DRAM only advances its instance's clock, by the same
+/// amount under every policy, so it folds into the next event's gap.
 void record_instance(sys::MemorySystem& system, dram::ActorId actor,
                      const ArrayMap& map, const WorkloadTrace& trace,
-                     const util::Cycle (&tlb_latency)[3],
-                     const util::Cycle (&lookup_latency)[4],
-                     FrontEnd::Stream& out) {
+                     FrontEnd::Stream& out, std::uint64_t& instructions) {
   cache::Hierarchy& hierarchy = system.hierarchy(actor);
   sys::MemorySystem::AccessPort port = system.port(actor);
-  out.codes.reserve(trace.ops.size());
-  hierarchy.set_dram_log(&out.lines);
+  hierarchy.set_dram_log(&out.requests);
+  util::Cycle gap = 0;
   for (const TraceOp& op : trace.ops) {
-    const std::size_t requests_before = out.lines.size();
-    util::Cycle clock = 0;
+    const std::size_t requests_before = out.requests.size();
     const sys::VAddr addr =
         map.base[static_cast<std::size_t>(op.array)] + op.index * 4ull;
+    util::Cycle clock = 0;
     const sys::PathResult r = op.write ? port.store(addr, clock, op.pc)
                                        : port.load(addr, clock, op.pc);
-    const auto level = static_cast<unsigned>(r.level);
+    // Rough instruction accounting: the access itself plus the surrounding
+    // arithmetic (~1 instruction per modeled compute cycle on this core).
+    instructions += 1 + op.compute;
     // Recorded requests cost nothing, so the latency is TLB + lookups.
-    const util::Cycle translation = r.latency - lookup_latency[level];
-    unsigned tlb = 0;
-    while (tlb < 2 && tlb_latency[tlb] != translation) ++tlb;
-    util::check(tlb_latency[tlb] == translation,
-                "run_multiprogrammed: unrecognised TLB latency");
-    const std::size_t follow_ons = out.lines.size() - requests_before -
-                                   (level == kMemoryLevel ? 1 : 0);
+    const util::Cycle lead = op.compute + r.latency;
+    const std::size_t requests = out.requests.size() - requests_before;
+    if (requests == 0) {
+      gap += lead;
+      continue;
+    }
+    const bool demand = r.level == cache::HitLevel::kMemory;
+    const std::size_t follow_ons = requests - (demand ? 1 : 0);
     util::check(follow_ons <= kMaxFollowOns,
                 "run_multiprogrammed: too many DRAM requests for one access");
-    out.codes.push_back(static_cast<std::uint8_t>(
-        level | (tlb << kTlbShift) | (follow_ons << kFollowShift)));
+    util::check(lead <= kMaxLead,
+                "run_multiprogrammed: access latency exceeds 24 bits");
+    for (; gap > kMaxGap; gap -= kMaxGap) {
+      out.events.push_back({.gap = kMaxGap});
+    }
+    FrontEnd::Event event;
+    event.gap = static_cast<std::uint32_t>(gap);
+    event.lead = static_cast<std::uint32_t>(lead);
+    event.demand = demand ? 1 : 0;
+    event.follow_ons = static_cast<std::uint32_t>(follow_ons);
+    out.events.push_back(event);
+    gap = 0;
   }
   hierarchy.set_dram_log(nullptr);
-  out.lines.shrink_to_fit();
+  out.trailing_gap = gap;
+  out.events.shrink_to_fit();
+  out.requests.shrink_to_fit();
+}
+
+/// Rewrites a stream's logged line indexes in place as packed (bank, row)
+/// words. The column is dropped: the controller's access is decode plus
+/// access_row, and access_row reads only the bank and row.
+void decode_requests(const dram::AddressMapping& mapping,
+                     std::uint32_t line_shift, std::uint32_t row_bits,
+                     std::vector<std::uint32_t>& requests) {
+  for (std::uint32_t& word : requests) {
+    const dram::DramAddress loc =
+        mapping.decode(dram::PhysAddr{word} << line_shift);
+    word = static_cast<std::uint32_t>(
+        (std::uint64_t{loc.bank} << row_bits) | loc.row);
+  }
 }
 
 std::shared_ptr<const FrontEnd> record_front_end(
@@ -165,29 +202,26 @@ std::shared_ptr<const FrontEnd> record_front_end(
         map_arrays(system, input.graph, input.trace, kInstanceB, &map_a);
     const ArrayMap* maps[2] = {&map_a, &map_b};
 
-    const sys::TlbConfig& tlb = sys_config.tlb;
-    const util::Cycle tlb_latency[3] = {
-        tlb.l1.latency, tlb.l1.latency + tlb.l2.latency,
-        tlb.l1.latency + tlb.l2.latency + tlb.walk_latency};
-    const cache::HierarchyConfig& hc = system.hierarchy(kInstanceA).config();
-    const util::Cycle lookup_latency[4] = {
-        hc.l1.latency, hc.l1.latency + hc.l2.latency,
-        hc.l1.latency + hc.l2.latency + hc.l3.latency,
-        hc.l1.latency + hc.l2.latency + hc.l3.latency};
-    for (unsigned t = 0; t < 3; ++t) {
-      for (unsigned l = 0; l < 4; ++l) {
-        fe->pre_dram[(t << kTlbShift) | l] =
-            tlb_latency[t] + lookup_latency[l];
-      }
-    }
-    const std::uint32_t line_bytes = hc.l1.line_bytes;
+    const dram::AddressMapping& mapping = system.controller().mapping();
+    const std::uint32_t line_bytes =
+        system.hierarchy(kInstanceA).config().l1.line_bytes;
     util::check((line_bytes & (line_bytes - 1)) == 0,
                 "run_multiprogrammed: line size must be a power of two");
-    fe->line_shift = static_cast<std::uint32_t>(std::countr_zero(line_bytes));
+    // Row sizes are powers of two too, so a line lies within one row.
+    util::check(line_bytes <= mapping.row_bytes(),
+                "run_multiprogrammed: a line must not span DRAM rows");
+    const auto line_shift =
+        static_cast<std::uint32_t>(std::countr_zero(line_bytes));
+    fe->row_bits =
+        static_cast<std::uint32_t>(std::bit_width(mapping.rows() - 1));
+    util::check(std::bit_width(mapping.banks() - 1) + fe->row_bits <= 32,
+                "run_multiprogrammed: bank and row exceed 32 bits");
 
     for (std::size_t i = 0; i < 2; ++i) {
-      record_instance(system, kInstances[i], *maps[i], input.trace,
-                      tlb_latency, lookup_latency, fe->instances[i]);
+      FrontEnd::Stream& stream = fe->instances[i];
+      record_instance(system, kInstances[i], *maps[i], input.trace, stream,
+                      fe->instructions);
+      decode_requests(mapping, line_shift, fe->row_bits, stream.requests);
       fe->llc_misses += system.hierarchy(kInstances[i]).l3().stats().misses;
     }
   }  // The hierarchies and TLBs flush their providers here.
@@ -217,6 +251,13 @@ std::shared_ptr<const FrontEnd> FrontEndMemo::get(
   return entry_;
 }
 
+std::uint64_t FrontEndMemo::dram_requests() const {
+  const std::lock_guard<std::mutex> lock(mu_);
+  if (entry_ == nullptr) return 0;
+  return entry_->instances[0].requests.size() +
+         entry_->instances[1].requests.size();
+}
+
 WorkloadInput build_input(const MultiprogConfig& config, WorkloadKind kind) {
   util::Xoshiro256 rng(config.graph_seed);
   WorkloadInput input;
@@ -244,67 +285,59 @@ RunStats run_multiprogrammed(const MultiprogConfig& config,
   // schedule-invariant.
   dram::MemoryController controller(sys_config.dram, sys_config.mapping,
                                     /*with_data=*/true);
-  const std::uint32_t shift = fe->line_shift;
-  const std::uint64_t offset_mask = (std::uint64_t{1} << shift) - 1;
-
-  RunStats stats;
-  // Replays one op: the same controller calls, at the same instants, as
-  // the access through the TLB and hierarchy would make. The demand
-  // request of a miss keeps its byte offset (the array bases are page
-  // aligned, so it is the element's offset within its line).
-  const auto replay_op = [&](const FrontEnd::Stream& stream,
-                             dram::ActorId actor, std::size_t i,
-                             std::size_t& next_request, util::Cycle& clock) {
-    const TraceOp& op = trace.ops[i];
-    clock += op.compute;
-    // Rough instruction accounting: the access itself plus the surrounding
-    // arithmetic (~1 instruction per modeled compute cycle on this core).
-    stats.instructions += 1 + op.compute;
-    const unsigned code = stream.codes[i];
-    util::Cycle now = clock + fe->pre_dram[code & 0xF];
-    if ((code & 0x3) == kMemoryLevel) {
-      const dram::PhysAddr demand =
-          (dram::PhysAddr{stream.lines[next_request++]} << shift) |
-          ((op.index * 4ull) & offset_mask);
-      now += controller.access(demand, now, actor).latency;
-    }
-    for (unsigned k = code >> kFollowShift; k > 0; --k) {
-      controller.access(dram::PhysAddr{stream.lines[next_request++]} << shift,
-                        now, actor);
-    }
-    clock = now;
+  const std::uint32_t row_bits = fe->row_bits;
+  const std::uint64_t row_mask = (std::uint64_t{1} << row_bits) - 1;
+  const auto access = [&](std::uint32_t request, util::Cycle now,
+                          dram::ActorId actor) {
+    return controller.access_row(
+        static_cast<dram::BankId>(std::uint64_t{request} >> row_bits),
+        static_cast<dram::RowId>(request & row_mask), now, actor);
   };
 
-  const FrontEnd::Stream& stream_a = fe->instances[0];
-  const FrontEnd::Stream& stream_b = fe->instances[1];
-  util::Cycle clock_a = 0;
-  util::Cycle clock_b = 0;
-  std::size_t req_a = 0;
-  std::size_t req_b = 0;
-  std::size_t ia = 0;
-  std::size_t ib = 0;
-  const std::size_t n = trace.ops.size();
-  // Interleave the two instances by simulated time so their DRAM traffic
-  // contends realistically on the shared banks. Each turn replays a *run*
-  // of ops — the instance keeps going while it stays behind the other's
-  // clock (or the other is done) — which picks exactly the op sequence the
-  // per-op formulation would, with one turn decision per run instead of
-  // per op.
-  while (ia < n || ib < n) {
-    const bool a_turn = ib >= n || (ia < n && clock_a <= clock_b);
-    if (a_turn) {
-      do {
-        replay_op(stream_a, kInstanceA, ia, req_a, clock_a);
-        ++ia;
-      } while (ia < n && (ib >= n || clock_a <= clock_b));
+  struct Cursor {
+    const FrontEnd::Event* next;
+    const FrontEnd::Event* end;
+    const std::uint32_t* request;
+    util::Cycle clock = 0;
+  };
+  const auto cursor = [](const FrontEnd::Stream& s) {
+    return Cursor{s.events.data(), s.events.data() + s.events.size(),
+                  s.requests.data()};
+  };
+  Cursor a = cursor(fe->instances[0]);
+  Cursor b = cursor(fe->instances[1]);
+  // Replays one event: the same controller calls, at the same instants, as
+  // the access through the TLB and hierarchy would make.
+  const auto replay = [&](Cursor& c, dram::ActorId actor) {
+    const FrontEnd::Event e = *c.next++;
+    util::Cycle now = c.clock + e.gap + e.lead;
+    if (e.demand != 0) now += access(*c.request++, now, actor).latency;
+    for (std::uint32_t k = e.follow_ons; k > 0; --k) {
+      (void)access(*c.request++, now, actor);
+    }
+    c.clock = now;
+  };
+  constexpr util::Cycle kNever = std::numeric_limits<util::Cycle>::max();
+  const auto key = [](const Cursor& c) {
+    return c.next == c.end ? kNever : c.clock + c.next->gap;
+  };
+  // The per-op interleave runs the instance whose clock is behind, A on
+  // ties, so the controller sees the two instances' events merged on their
+  // keys, A first on equal keys: B's clock cannot pass its next key before
+  // that event runs, so A's next event runs first exactly when its key is
+  // not greater.
+  while (a.next != a.end || b.next != b.end) {
+    if (key(a) <= key(b)) {
+      replay(a, kInstanceA);
     } else {
-      do {
-        replay_op(stream_b, kInstanceB, ib, req_b, clock_b);
-        ++ib;
-      } while (ib < n && (ia >= n || clock_b < clock_a));
+      replay(b, kInstanceB);
     }
   }
+  const util::Cycle clock_a = a.clock + fe->instances[0].trailing_gap;
+  const util::Cycle clock_b = b.clock + fe->instances[1].trailing_gap;
 
+  RunStats stats;
+  stats.instructions = fe->instructions;
   stats.cycles = std::max(clock_a, clock_b);
   stats.accesses = 2 * trace.ops.size();
   stats.llc_misses = fe->llc_misses;

@@ -91,8 +91,9 @@ struct DefenseOverheads {
 };
 
 /// The row-policy-independent half of a multiprogrammed run: both
-/// instances' TLB, translation and cache work, recorded as compact per-op
-/// streams of DRAM requests (defined in multiprog.cpp).
+/// instances' TLB, translation and cache work, recorded as streams of the
+/// ops that reach DRAM and their decoded requests (defined in
+/// multiprog.cpp).
 struct FrontEnd;
 
 /// Thread-safe one-entry memo of an input's FrontEnd, keyed on the
@@ -114,8 +115,12 @@ class FrontEndMemo {
       const sys::SystemConfig& system,
       const std::function<std::shared_ptr<const FrontEnd>()>& build);
 
+  /// DRAM requests one row-policy cell replays from the current entry
+  /// (both instances); 0 before the first run.
+  [[nodiscard]] std::uint64_t dram_requests() const;
+
  private:
-  std::mutex mu_;
+  mutable std::mutex mu_;
   std::shared_ptr<const FrontEnd> entry_;
 };
 
@@ -141,9 +146,10 @@ struct WorkloadInput {
 /// front end — each instance's TLB, translation and private cache
 /// hierarchy — depends only on the input and the system config, so it
 /// runs once per input and is memoised on `input.front_end`. Each call
-/// then replays only the recorded DRAM requests through a fresh
-/// controller under `policy`. Results, obs counters included, are
-/// bit-identical to replaying every access through a sys::MemorySystem.
+/// then replays only the recorded DRAM events (the ops that send DRAM
+/// requests) through a fresh controller under `policy`. Results, obs
+/// counters included, are bit-identical to replaying every access through
+/// a sys::MemorySystem.
 [[nodiscard]] RunStats run_multiprogrammed(const MultiprogConfig& config,
                                            const WorkloadInput& input,
                                            dram::RowPolicy policy);

@@ -194,6 +194,26 @@ void BM_MultiprogReplay(benchmark::State& state) {
 }
 BENCHMARK(BM_MultiprogReplay);
 
+void BM_MultiprogBackEnd(benchmark::State& state) {
+  // One Fig. 11 policy cell on an input whose front end is already
+  // recorded: the default configuration's BFS input under closed-row, its
+  // memo warmed outside the timed region, so each iteration pays only the
+  // DRAM back end. Items are DRAM requests replayed (both instances).
+  const graph::MultiprogConfig config;
+  const graph::WorkloadInput input =
+      graph::build_input(config, graph::WorkloadKind::kBFS);
+  (void)graph::run_multiprogrammed(config, input,
+                                   dram::RowPolicy::kClosedRow);
+  const std::uint64_t requests = input.front_end.dram_requests();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(graph::run_multiprogrammed(
+        config, input, dram::RowPolicy::kClosedRow));
+  }
+  state.SetItemsProcessed(
+      static_cast<std::int64_t>(state.iterations() * requests));
+}
+BENCHMARK(BM_MultiprogBackEnd);
+
 // --- Per-level microbenchmarks (PR 3): isolate the flat-layout fast
 // paths from the full-hierarchy composite above. ---
 

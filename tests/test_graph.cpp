@@ -1,9 +1,12 @@
 // Unit + property tests: graph substrate and multiprogrammed replay.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <deque>
 #include <sstream>
 #include <string>
+#include <tuple>
+#include <vector>
 
 #include "graph/graph.hpp"
 #include "graph/multiprog.hpp"
@@ -328,18 +331,31 @@ constexpr dram::RowPolicy kAllPolicies[] = {
     dram::RowPolicy::kOpenRow, dram::RowPolicy::kClosedRow,
     dram::RowPolicy::kConstantTime, dram::RowPolicy::kAdaptive};
 
-MultiprogConfig split_config() {
+MultiprogConfig split_config(
+    dram::MappingScheme mapping = dram::MappingScheme::kBankInterleaved) {
   MultiprogConfig config;
   config.rmat_scale = 10;
   config.edge_count = 1u << 13;
+  config.system.mapping = mapping;
   return config;
 }
 
-class FrontEndSplit : public ::testing::TestWithParam<WorkloadKind> {};
+/// Every Fig. 11 kernel under every address mapping: the front end decodes
+/// each request's bank and row itself. TC has the longest runs of hits
+/// between DRAM events, BC the most follow-on requests per event.
+class FrontEndSplit
+    : public ::testing::TestWithParam<
+          std::tuple<WorkloadKind, dram::MappingScheme>> {
+ protected:
+  static WorkloadKind kind() { return std::get<0>(GetParam()); }
+  static MultiprogConfig config() {
+    return split_config(std::get<1>(GetParam()));
+  }
+};
 
 TEST_P(FrontEndSplit, MatchesPerAccessReplayUnderEveryPolicy) {
-  const MultiprogConfig config = split_config();
-  const WorkloadInput input = build_input(config, GetParam());
+  const MultiprogConfig config = this->config();
+  const WorkloadInput input = build_input(config, kind());
   for (const dram::RowPolicy policy : kAllPolicies) {
     const CapturedCell want =
         capture([&] { return reference_run(config, input, policy); });
@@ -355,8 +371,8 @@ TEST_P(FrontEndSplit, MatchesPerAccessReplayUnderEveryPolicy) {
 }
 
 TEST_P(FrontEndSplit, WarmMemoRepeatsTheColdRun) {
-  const MultiprogConfig config = split_config();
-  const WorkloadInput built = build_input(config, GetParam());
+  const MultiprogConfig config = this->config();
+  const WorkloadInput built = build_input(config, kind());
   for (const dram::RowPolicy policy : kAllPolicies) {
     const WorkloadInput input = built;  // A copy starts with a cold memo.
     const CapturedCell cold =
@@ -368,10 +384,10 @@ TEST_P(FrontEndSplit, WarmMemoRepeatsTheColdRun) {
 }
 
 TEST_P(FrontEndSplit, CacheConfigChangeRecordsAFreshFrontEnd) {
-  const MultiprogConfig config = split_config();
+  const MultiprogConfig config = this->config();
   MultiprogConfig rescaled = config;
   rescaled.system.cache_scale = 4 * config.system.cache_scale;
-  const WorkloadInput input = build_input(config, GetParam());
+  const WorkloadInput input = build_input(config, kind());
   const RunStats first =
       run_multiprogrammed(config, input, dram::RowPolicy::kOpenRow);
   const CapturedCell want = capture([&] {
@@ -388,13 +404,92 @@ TEST_P(FrontEndSplit, CacheConfigChangeRecordsAFreshFrontEnd) {
             first);
 }
 
-INSTANTIATE_TEST_SUITE_P(SmallInputs, FrontEndSplit,
-                         ::testing::Values(WorkloadKind::kBFS,
-                                           WorkloadKind::kCC,
-                                           WorkloadKind::kPR),
-                         [](const auto& info) {
-                           return std::string(to_string(info.param));
-                         });
+INSTANTIATE_TEST_SUITE_P(
+    SmallInputs, FrontEndSplit,
+    ::testing::Combine(::testing::ValuesIn(kAllWorkloads),
+                       ::testing::Values(dram::MappingScheme::kBankInterleaved,
+                                         dram::MappingScheme::kRowBankCol,
+                                         dram::MappingScheme::kXorBankHash)),
+    [](const auto& info) {
+      std::string name = std::string(to_string(std::get<0>(info.param))) +
+                         "_" + to_string(std::get<1>(info.param));
+      std::replace(name.begin(), name.end(), '-', '_');
+      return name;
+    });
+
+// --- Hand-built inputs for the back end's merge edge cases ---------------
+
+/// A small shared graph plus a hand-written trace. Private array 0 spans
+/// 64 pages, so its elements 1024 apart sit on different pages.
+WorkloadInput hand_built(std::vector<TraceOp> ops) {
+  util::Xoshiro256 rng(3);
+  WorkloadInput input;
+  input.graph = CsrGraph::uniform(1024, 8192, rng);
+  input.trace.ops = std::move(ops);
+  input.trace.private_elems[0] = 1u << 16;
+  return input;
+}
+
+TraceOp load(ArrayRef array, std::uint32_t index, std::uint16_t compute,
+             std::uint16_t pc = 1) {
+  return {.index = index, .compute = compute, .pc = pc, .array = array};
+}
+
+/// Runs `input` under every policy, split and per-access, and compares.
+void expect_matches_reference(const WorkloadInput& input) {
+  const MultiprogConfig config = split_config();
+  for (const dram::RowPolicy policy : kAllPolicies) {
+    const CapturedCell want =
+        capture([&] { return reference_run(config, input, policy); });
+    const CapturedCell got =
+        capture([&] { return run_multiprogrammed(config, input, policy); });
+    expect_same_cell(got, want, to_string(policy));
+  }
+}
+
+TEST(FrontEndSplitEdges, TiedClocksRunInstanceAFirst) {
+  // Both instances replay the same ops from clock 0, so every DRAM event
+  // below starts on equal keys until contention separates the clocks: the
+  // shared edge array puts both on one row, the private pages on others.
+  std::vector<TraceOp> ops;
+  for (std::uint32_t i = 0; i < 8; ++i) {
+    ops.push_back(load(ArrayRef::kEdges, 1024 * i, 10));
+    ops.push_back(load(ArrayRef::kPrivate0, 1024 * i, 10, 2));
+  }
+  expect_matches_reference(hand_built(std::move(ops)));
+}
+
+TEST(FrontEndSplitEdges, HitsAfterTheLastDramRequestStillCount) {
+  // A few misses, then a long run of L1 hits on one element: the cycles
+  // after the last DRAM event are the trailing gap.
+  std::vector<TraceOp> ops;
+  for (std::uint32_t i = 0; i < 4; ++i) {
+    ops.push_back(load(ArrayRef::kPrivate0, 1024 * i, 10));
+  }
+  constexpr std::size_t kHits = 5000;
+  ops.resize(ops.size() + kHits, load(ArrayRef::kOffsets, 0, 100, 2));
+  const WorkloadInput input = hand_built(std::move(ops));
+  expect_matches_reference(input);
+  EXPECT_GT(run_multiprogrammed(split_config(), input,
+                                dram::RowPolicy::kOpenRow)
+                .cycles,
+            kHits * 100);
+}
+
+TEST(FrontEndSplitEdges, HitRunLongerThan32BitsOfCycles) {
+  // ~66 K hits of 65535 compute cycles each between two misses: the gap
+  // before the second miss exceeds 2^32 cycles and is split by a filler.
+  std::vector<TraceOp> ops = {load(ArrayRef::kPrivate0, 0, 10)};
+  ops.resize(66000, load(ArrayRef::kPrivate0, 0, 65535, 2));
+  ops.push_back(load(ArrayRef::kPrivate0, 1024, 10, 3));
+  ops.push_back(load(ArrayRef::kEdges, 0, 10, 4));
+  const WorkloadInput input = hand_built(std::move(ops));
+  expect_matches_reference(input);
+  EXPECT_GT(run_multiprogrammed(split_config(), input,
+                                dram::RowPolicy::kOpenRow)
+                .cycles,
+            util::Cycle{1} << 32);
+}
 
 }  // namespace
 }  // namespace impact::graph

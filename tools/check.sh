@@ -12,8 +12,9 @@
 #   3b. the same suite again with IMPACT_FAULTS=heavy: fault-aware tests
 #      layer the heavy fault profile onto their scenarios and must still
 #      recover; everything else must be unaffected (injection is opt-in),
-#   4. a ThreadSanitizer build + the exec-engine tests under it (TSan and
-#      ASan cannot share a binary, so this is a separate build tree),
+#   4. a ThreadSanitizer build + the exec-engine and store tests under it
+#      (TSan and ASan cannot share a binary, so this is a separate build
+#      tree),
 #   5. obs spine: a -DIMPACT_OBS=OFF build + full ctest (the telemetry
 #      spine must compile away cleanly), then quickstart --trace JSON
 #      validation (dram/pim/channel spans present, events well-formed),
@@ -139,24 +140,26 @@ else
   FAILED=1
 fi
 
-# --- Stage 4: TSan over the exec engine ---------------------------------
-# The thread pool and sweep scheduler are the only concurrent code in the
-# repo; running their tests under ThreadSanitizer catches ordering bugs the
-# serial suite cannot. Separate build tree: TSan excludes ASan.
+# --- Stage 4: TSan over the concurrent code -----------------------------
+# The concurrent code is the thread pool and sweep scheduler (test_exec)
+# and the graph front-end memo that a store::CellRunner pool's workers
+# share (test_store); running their tests under ThreadSanitizer catches
+# ordering bugs the serial suite cannot. Separate build tree: TSan
+# excludes ASan.
 TSAN_DIR="${ROOT}/build-tsan"
 cmake -S "${ROOT}" -B "${TSAN_DIR}" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DIMPACT_SANITIZE=thread \
   > /dev/null \
-  && cmake --build "${TSAN_DIR}" -j "${JOBS}" --target test_exec
+  && cmake --build "${TSAN_DIR}" -j "${JOBS}" --target test_exec test_store
 if [ $? -eq 0 ]; then
   ( cd "${TSAN_DIR}" \
     && IMPACT_CHECK=1 \
        TSAN_OPTIONS=halt_on_error=1 \
-       ctest -R test_exec --output-on-failure )
-  stage tsan-exec $?
+       ctest -R '^test_(exec|store)$' --output-on-failure )
+  stage tsan $?
 else
-  STATUS[tsan-exec]="FAIL (build)"
+  STATUS[tsan]="FAIL (build)"
   FAILED=1
 fi
 
@@ -356,7 +359,7 @@ stage bench-smoke $?
 # --- Summary ------------------------------------------------------------
 echo
 echo "== check summary"
-for s in lint clang-tidy sanitizer-build ctest fault tsan-exec obs store \
+for s in lint clang-tidy sanitizer-build ctest fault tsan obs store \
          resume lab bench-smoke; do
   printf '   %-16s %s\n' "$s" "${STATUS[$s]:-SKIP}"
 done

@@ -7,6 +7,8 @@
 #include <string>
 #include <utility>
 
+// SIMLINT-ALLOW(layering): the front end records on a thread pool.
+#include "exec/thread_pool.hpp"
 #include "obs/registry.hpp"
 #include "obs/scope.hpp"
 #include "util/assert.hpp"
@@ -119,6 +121,14 @@ bool same_front_end(const sys::SystemConfig& a, const sys::SystemConfig& b) {
          a.dram.subarray_rows == b.dram.subarray_rows;
 }
 
+/// One instance's recording as its worker fills it. Aligned to a cache
+/// line, so the two workers' per-op writes (the vectors' end pointers)
+/// never share one.
+struct alignas(64) InstanceRecording {
+  FrontEnd::Stream stream;
+  std::uint64_t instructions = 0;
+};
+
 /// Replays one instance's whole trace through its AccessPort with the
 /// hierarchy in record mode. Sound because the instance's TLB and
 /// hierarchy are private to it and none of their decisions reads the
@@ -126,15 +136,20 @@ bool same_front_end(const sys::SystemConfig& a, const sys::SystemConfig& b) {
 /// are the same under every row policy and every interleaving. An op that
 /// sends nothing to DRAM only advances its instance's clock, by the same
 /// amount under every policy, so it folds into the next event's gap.
-void record_instance(sys::MemorySystem& system, dram::ActorId actor,
-                     const ArrayMap& map, const WorkloadTrace& trace,
-                     FrontEnd::Stream& out, std::uint64_t& instructions) {
-  cache::Hierarchy& hierarchy = system.hierarchy(actor);
-  sys::MemorySystem::AccessPort port = system.port(actor);
-  hierarchy.set_dram_log(&out.requests);
+///
+/// Touches nothing the other instance's recording touches, so the two may
+/// run concurrently: the port (and its translation memo) is this call's
+/// own copy, and `out` is this instance's slot.
+void record_instance(cache::Hierarchy& hierarchy,
+                     sys::MemorySystem::AccessPort port, const ArrayMap& map,
+                     const WorkloadTrace& trace, InstanceRecording& out) {
+  std::vector<FrontEnd::Event>& events = out.stream.events;
+  std::vector<std::uint32_t>& log = out.stream.requests;
+  hierarchy.set_dram_log(&log);
   util::Cycle gap = 0;
+  std::uint64_t instructions = 0;
   for (const TraceOp& op : trace.ops) {
-    const std::size_t requests_before = out.requests.size();
+    const std::size_t requests_before = log.size();
     const sys::VAddr addr =
         map.base[static_cast<std::size_t>(op.array)] + op.index * 4ull;
     util::Cycle clock = 0;
@@ -145,7 +160,7 @@ void record_instance(sys::MemorySystem& system, dram::ActorId actor,
     instructions += 1 + op.compute;
     // Recorded requests cost nothing, so the latency is TLB + lookups.
     const util::Cycle lead = op.compute + r.latency;
-    const std::size_t requests = out.requests.size() - requests_before;
+    const std::size_t requests = log.size() - requests_before;
     if (requests == 0) {
       gap += lead;
       continue;
@@ -157,20 +172,19 @@ void record_instance(sys::MemorySystem& system, dram::ActorId actor,
     util::check(lead <= kMaxLead,
                 "run_multiprogrammed: access latency exceeds 24 bits");
     for (; gap > kMaxGap; gap -= kMaxGap) {
-      out.events.push_back({.gap = kMaxGap});
+      events.push_back({.gap = kMaxGap});
     }
     FrontEnd::Event event;
     event.gap = static_cast<std::uint32_t>(gap);
     event.lead = static_cast<std::uint32_t>(lead);
     event.demand = demand ? 1 : 0;
     event.follow_ons = static_cast<std::uint32_t>(follow_ons);
-    out.events.push_back(event);
+    events.push_back(event);
     gap = 0;
   }
   hierarchy.set_dram_log(nullptr);
-  out.trailing_gap = gap;
-  out.events.shrink_to_fit();
-  out.requests.shrink_to_fit();
+  out.stream.trailing_gap = gap;
+  out.instructions = instructions;
 }
 
 /// Rewrites a stream's logged line indexes in place as packed (bank, row)
@@ -217,12 +231,41 @@ std::shared_ptr<const FrontEnd> record_front_end(
     util::check(std::bit_width(mapping.banks() - 1) + fe->row_bits <= 32,
                 "run_multiprogrammed: bank and row exceed 32 bits");
 
+    const std::uint32_t row_bits = fe->row_bits;
+
+    // The two recordings share no state, so they run on up to two threads
+    // (docs/performance.md, "Recording the two instances concurrently").
+    // What they look up by actor (contexts, translation views) is created
+    // here, which also registers the TLB and cache providers in this
+    // thread's scope. The streams are reserved here and trimmed here after
+    // the join, so a worker leaves nothing in its malloc arena: one event
+    // per op is a strict bound, and one request per op covers every
+    // default-grid input (a longer request stream grows on the worker,
+    // which is still correct).
+    cache::Hierarchy* const hierarchies[2] = {
+        &system.hierarchy(kInstanceA), &system.hierarchy(kInstanceB)};
+    const sys::MemorySystem::AccessPort ports[2] = {system.port(kInstanceA),
+                                                    system.port(kInstanceB)};
+    InstanceRecording recordings[2];
+    for (InstanceRecording& recording : recordings) {
+      recording.stream.events.reserve(input.trace.ops.size());
+      recording.stream.requests.reserve(input.trace.ops.size());
+    }
+    exec::ThreadPool(std::min(2u, exec::ThreadPool::default_threads()))
+        .for_each_index(2, [&](std::size_t i) {
+          record_instance(*hierarchies[i], ports[i], *maps[i], input.trace,
+                          recordings[i]);
+          decode_requests(mapping, line_shift, row_bits,
+                          recordings[i].stream.requests);
+        });
+
     for (std::size_t i = 0; i < 2; ++i) {
       FrontEnd::Stream& stream = fe->instances[i];
-      record_instance(system, kInstances[i], *maps[i], input.trace, stream,
-                      fe->instructions);
-      decode_requests(mapping, line_shift, fe->row_bits, stream.requests);
-      fe->llc_misses += system.hierarchy(kInstances[i]).l3().stats().misses;
+      stream = std::move(recordings[i].stream);
+      stream.events.shrink_to_fit();
+      stream.requests.shrink_to_fit();
+      fe->instructions += recordings[i].instructions;
+      fe->llc_misses += hierarchies[i]->l3().stats().misses;
     }
   }  // The hierarchies and TLBs flush their providers here.
   for (const auto& [name, value] : scope.snapshot().counters) {

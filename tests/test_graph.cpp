@@ -2,8 +2,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
 #include <deque>
+#include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -489,6 +492,76 @@ TEST(FrontEndSplitEdges, HitRunLongerThan32BitsOfCycles) {
                                 dram::RowPolicy::kOpenRow)
                 .cycles,
             util::Cycle{1} << 32);
+}
+
+// --- Recording the two instances concurrently ----------------------------
+//
+// The front end records instance A and instance B on up to
+// min(2, IMPACT_THREADS) threads; with one thread both run inline on the
+// caller. Nothing either recording writes is read by the other, so the two
+// schedules must agree exactly.
+
+/// Sets IMPACT_THREADS for the guard's lifetime, then restores it.
+class ThreadsEnv {
+ public:
+  explicit ThreadsEnv(const char* value) {
+    if (const char* old = std::getenv("IMPACT_THREADS")) saved_ = old;
+    ::setenv("IMPACT_THREADS", value, 1);
+  }
+  ~ThreadsEnv() {
+    if (saved_) {
+      ::setenv("IMPACT_THREADS", saved_->c_str(), 1);
+    } else {
+      ::unsetenv("IMPACT_THREADS");
+    }
+  }
+  ThreadsEnv(const ThreadsEnv&) = delete;
+  ThreadsEnv& operator=(const ThreadsEnv&) = delete;
+
+ private:
+  std::optional<std::string> saved_;
+};
+
+TEST(ConcurrentFrontEnd, InlineAndThreadedRecordingsAgree) {
+  // BC sends the most follow-on requests per event, TC has the longest
+  // runs of hits. Two threads are pinned, so a 1-CPU machine still runs
+  // the threaded path.
+  const MultiprogConfig config = split_config();
+  for (const WorkloadKind kind : {WorkloadKind::kBC, WorkloadKind::kTC}) {
+    const WorkloadInput built = build_input(config, kind);
+    const auto run_with = [&](const char* threads) {
+      const ThreadsEnv env(threads);
+      const WorkloadInput input = built;  // A copy starts with a cold memo.
+      return capture([&] {
+        return run_multiprogrammed(config, input, dram::RowPolicy::kOpenRow);
+      });
+    };
+    const CapturedCell inline_cell = run_with("1");
+    const CapturedCell threaded = run_with("2");
+    expect_same_cell(threaded, inline_cell, to_string(kind));
+    if (obs::kCompiled) {
+      EXPECT_GT(threaded.snapshot.counter("cache.l1.hits"), 0u);
+      EXPECT_GT(threaded.snapshot.counter("tlb.accesses"), 0u);
+    }
+  }
+}
+
+TEST(ConcurrentFrontEnd, RecordingErrorReachesTheCaller) {
+  // The second op's index lies far past private array 0's 64 pages, so
+  // the translation inside the recording throws.
+  const std::vector<TraceOp> ops = {load(ArrayRef::kPrivate0, 0, 10),
+                                    load(ArrayRef::kPrivate0, 1u << 24, 10, 2)};
+  for (const char* threads : {"1", "2"}) {
+    const ThreadsEnv env(threads);
+    const WorkloadInput input = hand_built(ops);
+    EXPECT_THROW((void)run_multiprogrammed(split_config(), input,
+                                           dram::RowPolicy::kOpenRow),
+                 std::invalid_argument)
+        << "IMPACT_THREADS=" << threads;
+    // A failed recording leaves the memo empty.
+    EXPECT_EQ(input.front_end.dram_requests(), 0u)
+        << "IMPACT_THREADS=" << threads;
+  }
 }
 
 }  // namespace

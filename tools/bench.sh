@@ -235,7 +235,9 @@ result = {
 result.update(role_results)
 
 # Best-of across the repetitions (aggregate rows are skipped; the name
-# suffixes cover benchmark-library versions without run_type).
+# suffixes cover benchmark-library versions without run_type). A benchmark
+# timed in wall time (UseRealTime) is reported as "<name>/real_time"; it is
+# keyed by its plain name, so baselines and required entries stay stable.
 def best_of(run):
     out = {}
     for b in run.get("benchmarks", []):
@@ -243,6 +245,7 @@ def best_of(run):
         if b.get("run_type") == "aggregate" or name.endswith(
                 ("_mean", "_median", "_stddev", "_cv")):
             continue
+        name = name.removesuffix("/real_time")
         entry = out.setdefault(
             name, {"items_per_second": 0.0, "cpu_time_ns": 0.0})
         ips = b.get("items_per_second", 0.0)

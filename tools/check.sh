@@ -12,9 +12,9 @@
 #   3b. the same suite again with IMPACT_FAULTS=heavy: fault-aware tests
 #      layer the heavy fault profile onto their scenarios and must still
 #      recover; everything else must be unaffected (injection is opt-in),
-#   4. a ThreadSanitizer build + the exec-engine and store tests under it
-#      (TSan and ASan cannot share a binary, so this is a separate build
-#      tree),
+#   4. a ThreadSanitizer build + the exec-engine and store tests, and the
+#      graph tests of the concurrent front end, under it (TSan and ASan
+#      cannot share a binary, so this is a separate build tree),
 #   5. obs spine: a -DIMPACT_OBS=OFF build + full ctest (the telemetry
 #      spine must compile away cleanly), then quickstart --trace JSON
 #      validation (dram/pim/channel spans present, events well-formed),
@@ -141,22 +141,32 @@ else
 fi
 
 # --- Stage 4: TSan over the concurrent code -----------------------------
-# The concurrent code is the thread pool and sweep scheduler (test_exec)
-# and the graph front-end memo that a store::CellRunner pool's workers
-# share (test_store); running their tests under ThreadSanitizer catches
-# ordering bugs the serial suite cannot. Separate build tree: TSan
-# excludes ASan.
+# The concurrent code is the thread pool and sweep scheduler (test_exec),
+# the graph front-end memo that a store::CellRunner pool's workers share
+# (test_store), and the graph front end, which records the two
+# co-scheduled instances on two threads (test_graph: the inline-vs-threaded
+# and error-propagation tests, FrontEndSplit's BC and TC cases under one
+# mapping, the hand-built edge cases and Multiprog). Running them under
+# ThreadSanitizer catches ordering bugs the serial suite cannot. Separate
+# build tree: TSan excludes ASan.
 TSAN_DIR="${ROOT}/build-tsan"
+TSAN_GRAPH_FILTER='ConcurrentFrontEnd.*:FrontEndSplitEdges.*:Multiprog.*'
+TSAN_GRAPH_FILTER+=':SmallInputs/FrontEndSplit.*/BC_bank_interleaved'
+TSAN_GRAPH_FILTER+=':SmallInputs/FrontEndSplit.*/TC_bank_interleaved'
 cmake -S "${ROOT}" -B "${TSAN_DIR}" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DIMPACT_SANITIZE=thread \
   > /dev/null \
-  && cmake --build "${TSAN_DIR}" -j "${JOBS}" --target test_exec test_store
+  && cmake --build "${TSAN_DIR}" -j "${JOBS}" \
+       --target test_exec test_store test_graph
 if [ $? -eq 0 ]; then
   ( cd "${TSAN_DIR}" \
     && IMPACT_CHECK=1 \
        TSAN_OPTIONS=halt_on_error=1 \
-       ctest -R '^test_(exec|store)$' --output-on-failure )
+       ctest -R '^test_(exec|store)$' --output-on-failure \
+    && IMPACT_CHECK=1 \
+       TSAN_OPTIONS=halt_on_error=1 \
+       ./tests/test_graph --gtest_filter="${TSAN_GRAPH_FILTER}" )
   stage tsan $?
 else
   STATUS[tsan]="FAIL (build)"

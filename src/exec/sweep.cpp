@@ -1,11 +1,9 @@
 #include "exec/sweep.hpp"
 
-#include <algorithm>
-#include <atomic>
 #include <condition_variable>
 #include <exception>
 #include <mutex>
-#include <thread>
+#include <optional>
 
 #include "obs/registry.hpp"
 #include "obs/scope.hpp"
@@ -39,15 +37,40 @@ bool publish_task(const CacheHooks& hooks, const obs::Snapshot& snapshot) {
   }
 }
 
+/// Runs a cell function; returns its failure message, or nullopt when it
+/// completed.
+std::optional<std::string> invoke(const std::function<void()>& fn) {
+  try {
+    fn();
+    return std::nullopt;
+  } catch (const std::exception& e) {
+    return std::string(e.what());
+  } catch (...) {
+    return std::string("non-standard exception");
+  }
+}
+
+/// What happened to one cell. Written only by the thread that ran the
+/// cell, read by its dependents and by the final fold; the scheduler's
+/// retire handshake orders those accesses.
+struct Outcome {
+  enum State : unsigned char { kRan, kHit, kFailed, kSkipped };
+  State state = kRan;
+  bool probed = false;  ///< Task had a probe hook and it was consulted.
+  bool stored = false;  ///< Publish hook accepted the completed cell.
+  std::string message;  ///< Failure message (kFailed only).
+};
+
 /// Mirrors a run's cache accounting into the caller's obs registry so
 /// drivers see hit rates in their snapshots without extra plumbing.
-void emit_cache_obs(std::size_t hits, std::size_t misses,
-                    std::size_t stored) {
-  if (hits + misses + stored == 0) return;
+void emit_cache_obs(const RunReport& report) {
+  if (report.cache_hits + report.cache_misses + report.cache_stored == 0) {
+    return;
+  }
   if (obs::Registry* reg = obs::current_registry()) {
-    reg->counter("exec.sweep.cache_hits").add(hits);
-    reg->counter("exec.sweep.cache_misses").add(misses);
-    reg->counter("exec.sweep.cache_stored").add(stored);
+    reg->counter("exec.sweep.cache_hits").add(report.cache_hits);
+    reg->counter("exec.sweep.cache_misses").add(report.cache_misses);
+    reg->counter("exec.sweep.cache_stored").add(report.cache_stored);
   }
 }
 
@@ -58,18 +81,10 @@ std::string RunReport::summary() const {
                   " tasks completed";
   s += ", " + std::to_string(failed) + " failed";
   s += ", " + std::to_string(skipped) + " skipped";
-  s += ", " + std::to_string(retries) + " retries";
   if (cache_hits + cache_misses > 0) {
     s += ", " + std::to_string(cache_hits) + " cache hits / " +
          std::to_string(cache_misses) + " misses";
   }
-  // Resilience facts only when present, so journal-less in-budget runs
-  // keep the exact summary text older tests and logs pin.
-  if (resumed > 0) s += ", " + std::to_string(resumed) + " resumed";
-  if (deadline_failed > 0) {
-    s += ", " + std::to_string(deadline_failed) + " over deadline";
-  }
-  if (shed > 0) s += ", " + std::to_string(shed) + " shed";
   return s;
 }
 
@@ -98,685 +113,132 @@ Sweep::TaskId Sweep::add_cached(std::string label, std::function<void()> fn,
   return id;
 }
 
-void Sweep::run() {
-  if (tasks_.empty()) return;
-
-  // Cache accounting for this run (run() has no RunReport to carry it, so
-  // it surfaces through the exec.sweep.cache_* counters only). Atomics:
-  // the parallel path updates these from worker threads.
-  std::atomic<std::size_t> cache_hits{0};
-  std::atomic<std::size_t> cache_misses{0};
-  std::atomic<std::size_t> cache_stored{0};
-
-  // Runs one cell through its cache hooks: a probe hit satisfies the cell
-  // without executing it; a completed miss is offered back via publish
-  // (with an empty snapshot — run() has no capture machinery; snapshots
-  // travel through run_resilient).
-  const auto run_cell = [&](TaskId id) {
-    const Task& task = tasks_[id];
-    if (task.hooks.probe) {
-      if (probe_task(task.hooks)) {
-        cache_hits.fetch_add(1, std::memory_order_relaxed);
-        return;
-      }
-      cache_misses.fetch_add(1, std::memory_order_relaxed);
-    }
-    task.fn();
-    if (publish_task(task.hooks, obs::Snapshot{})) {
-      cache_stored.fetch_add(1, std::memory_order_relaxed);
-    }
-  };
-
-  if (pool_ == nullptr || pool_->size() <= 1) {
-    // Insertion order is topological by construction.
-    std::exception_ptr first;
-    std::vector<bool> failed(tasks_.size(), false);
-    for (TaskId id = 0; id < tasks_.size(); ++id) {
-      bool skip = first != nullptr;
-      for (const TaskId d : tasks_[id].deps) skip = skip || failed[d];
-      if (skip) {
-        failed[id] = true;
-        continue;
-      }
-      try {
-        run_cell(id);
-      } catch (...) {
-        failed[id] = true;
-        if (!first) first = std::current_exception();
-      }
-    }
-    emit_cache_obs(cache_hits.load(), cache_misses.load(),
-                   cache_stored.load());
-    if (first) std::rethrow_exception(first);
-    return;
-  }
-
-  // Parallel execution: scheduler state shared between the submitting
-  // thread and the workers, all guarded by one mutex (tasks are coarse).
-  struct State {
-    std::mutex mutex;
-    std::condition_variable done_cv;
-    std::vector<std::size_t> unmet;        // Unfinished dependency count.
-    std::vector<std::vector<TaskId>> dependents;
-    std::size_t remaining = 0;             // Tasks not yet finished/skipped.
-    std::exception_ptr first_error;
-  } state;
-
-  state.unmet.assign(tasks_.size(), 0);
-  state.dependents.assign(tasks_.size(), {});
-  for (TaskId id = 0; id < tasks_.size(); ++id) {
-    state.unmet[id] = tasks_[id].deps.size();
-    for (const TaskId d : tasks_[id].deps) {
-      state.dependents[d].push_back(id);
-    }
-  }
-  state.remaining = tasks_.size();
-
-  // Runs `id`, then retires it and launches newly-ready dependents.
-  std::function<void(TaskId)> execute = [&](TaskId id) {
-    bool cancelled = false;
-    {
-      std::lock_guard<std::mutex> lock(state.mutex);
-      cancelled = state.first_error != nullptr;
-    }
-    if (!cancelled) {
-      try {
-        run_cell(id);
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(state.mutex);
-        if (!state.first_error) state.first_error = std::current_exception();
-      }
-    }
-    std::vector<TaskId> ready;
-    {
-      std::lock_guard<std::mutex> lock(state.mutex);
-      for (const TaskId dep : state.dependents[id]) {
-        if (--state.unmet[dep] == 0) ready.push_back(dep);
-      }
-      if (--state.remaining == 0) state.done_cv.notify_all();
-    }
-    for (const TaskId r : ready) {
-      (void)pool_->submit([&execute, r] { execute(r); });
-    }
-  };
-
-  for (TaskId id = 0; id < tasks_.size(); ++id) {
-    if (tasks_[id].deps.empty()) {
-      (void)pool_->submit([&execute, id] { execute(id); });
-    }
-  }
-  {
-    std::unique_lock<std::mutex> lock(state.mutex);
-    // Bounded by the tasks themselves: every started task retires and run()
-    // has no cancellation to wait out.
-    // SIMLINT-ALLOW(unbounded-wait)
-    state.done_cv.wait(lock, [&] { return state.remaining == 0; });
-  }
-  emit_cache_obs(cache_hits.load(), cache_misses.load(),
-                 cache_stored.load());
-  if (state.first_error) std::rethrow_exception(state.first_error);
-}
-
-namespace {
-
-/// Host wall-clock for deadlines and retry budgets only. These bound how
-/// long the engine is willing to *wait* for a cell; they never feed
-/// simulated time or any result byte, so output determinism is unaffected.
-// SIMLINT-ALLOW(nondet-chrono-clock)
-using HostClock = std::chrono::steady_clock;
-
-/// The token of the guarded-sweep cell currently executing on this thread.
-/// Thread-local for the same reason as the pool's worker index: every
-/// executing thread needs a private slot, and cells are the only readers.
-// SIMLINT-ALLOW(thread-local, global-state)
-thread_local CancelToken* tls_cancel = nullptr;
-
-struct Attempt {
-  bool ok = false;
-  std::size_t attempts = 0;
-  std::string message;
-  bool cancelled = false;  ///< Cancellation observed by the retry loop.
-};
-
-/// Wall-clock bounds on one cell's retry loop.
-struct RetryBounds {
-  CancelToken* token = nullptr;  ///< Polled between attempts and mid-sleep.
-  bool has_deadline = false;
-  HostClock::time_point deadline{};
-};
-
-/// Runs `fn` under the retry policy. TransientError always re-tries while
-/// budget remains; other exceptions re-try only under `retry_all`. The
-/// attempt budget is additionally wall-clock bounded: a backoff sleep that
-/// would overshoot `bounds.deadline` is not taken (the time is better
-/// spent reporting the failure than sleeping past the budget), and a
-/// cancelled token stops the loop between attempts and mid-backoff.
-Attempt run_with_retries(const std::function<void()>& fn,
-                         const RetryPolicy& policy,
-                         const RetryBounds& bounds) {
-  const std::size_t budget = std::max<std::size_t>(1, policy.max_attempts);
-  auto delay = policy.backoff_base;
-  Attempt out;
-  for (std::size_t attempt = 1; attempt <= budget; ++attempt) {
-    if (bounds.token != nullptr && bounds.token->cancelled()) {
-      out.cancelled = true;
-      if (out.message.empty()) out.message = "cancelled before first attempt";
-      return out;
-    }
-    out.attempts = attempt;
-    try {
-      fn();
-      out.ok = true;
-      return out;
-    } catch (const TransientError& e) {
-      out.message = e.what();
-    } catch (const std::exception& e) {
-      out.message = e.what();
-      if (!policy.retry_all) return out;
-    } catch (...) {
-      out.message = "non-standard exception";
-      if (!policy.retry_all) return out;
-    }
-    if (attempt < budget && delay.count() > 0) {
-      if (bounds.has_deadline &&
-          HostClock::now() + delay >= bounds.deadline) {
-        out.message += " (retries stopped by deadline)";
-        return out;
-      }
-      // Sliced sleep: a watchdog cancellation cuts the wait short instead
-      // of being noticed only after a multi-second backoff expires.
-      auto left = delay;
-      while (left.count() > 0) {
-        if (bounds.token != nullptr && bounds.token->cancelled()) {
-          out.cancelled = true;
-          out.message += " (cancelled during backoff)";
-          return out;
-        }
-        const auto slice = std::min(left, std::chrono::microseconds(2000));
-        std::this_thread::sleep_for(slice);
-        left -= slice;
-      }
-      delay = std::min(policy.backoff_cap, delay * 2);
-    }
-  }
-  return out;
-}
-
-/// Full outcome of one guarded cell: the attempt record plus the facts
-/// the retire step folds into the report under its lock.
-struct CellOutcome {
-  Attempt attempt;
-  bool probed = false;    ///< Task had a probe hook.
-  bool hit = false;       ///< Probe satisfied the cell; fn never ran.
-  bool resumed = false;   ///< Hit pre-validated by the journal replay.
-  bool stored = false;    ///< Publish hook accepted the completed cell.
-  bool deadline = false;  ///< Failure attributable to a deadline.
-};
-
-/// Mirrors resilience accounting into the caller's obs registry. Silent
-/// when nothing resil-specific happened, so plain runs emit nothing new.
-void emit_resil_obs(const RunReport& report, std::size_t watchdog_fired) {
-  if (report.resumed + report.deadline_failed + report.shed +
-          watchdog_fired ==
-      0) {
-    return;
-  }
-  if (obs::Registry* reg = obs::current_registry()) {
-    reg->counter("exec.resil.resumed").add(report.resumed);
-    reg->counter("exec.resil.deadline_failed").add(report.deadline_failed);
-    reg->counter("exec.resil.shed").add(report.shed);
-    reg->counter("exec.resil.watchdog_cancels").add(watchdog_fired);
-  }
-}
-
-}  // namespace
-
-CancelToken* current_cancel() noexcept { return tls_cancel; }
-
-void Sweep::set_priority(TaskId id, std::int32_t priority) {
-  util::check(id < tasks_.size(), "Sweep::set_priority: unknown task id");
-  tasks_[id].priority = priority;
-}
-
-RunReport Sweep::run_resilient(const RetryPolicy& policy) {
-  return run_guarded(nullptr, policy);
-}
-
-RunReport Sweep::run_resumable(SweepJournal& journal,
-                               const RetryPolicy& policy) {
-  return run_guarded(&journal, policy);
-}
-
-RunReport Sweep::run_guarded(SweepJournal* journal,
-                             const RetryPolicy& policy) {
-  RunReport report;
-  report.tasks = tasks_.size();
+RunReport Sweep::run() {
   const std::size_t n = tasks_.size();
+  RunReport report;
+  report.tasks = n;
   if (n == 0) return report;
   // Preallocated before any task starts: concurrent cells then write only
   // their own (distinct) slot, so capture needs no extra locking.
   if (capture_) report.snapshots.resize(n);
+  std::vector<Outcome> outcomes(n);
 
-  // --- Journal: replay history once, then write-only. --------------------
-  // The committed set is snapshotted before anything executes; afterwards
-  // the journal is only appended to. The first call that throws silences
-  // the journal for the rest of the run and execution degrades to plain
-  // run_resilient behaviour (correctness never depends on the journal).
-  std::atomic<bool> journal_ok{journal != nullptr};
-  std::vector<unsigned char> replay(n, 0);
-  if (journal_ok.load(std::memory_order_relaxed)) {
-    try {
-      journal->begin_run(n);
-      for (TaskId id = 0; id < n; ++id) {
-        replay[id] = journal->committed(id) ? 1 : 0;
-      }
-    } catch (...) {
-      journal_ok.store(false, std::memory_order_relaxed);
-      std::fill(replay.begin(), replay.end(), 0);
-    }
-  }
-  const auto journal_try = [&](auto&& op) {
-    if (!journal_ok.load(std::memory_order_relaxed)) return;
-    try {
-      op();
-    } catch (...) {
-      journal_ok.store(false, std::memory_order_relaxed);
-    }
-  };
-
-  // --- Deadlines: per-cell tokens, start stamps, watchdog thread. --------
-  const bool cell_dl_on = policy.cell_deadline.count() > 0;
-  const bool run_dl_on = policy.run_deadline.count() > 0;
-  const bool watchdog_on = cell_dl_on || run_dl_on;
-  const auto run_start = HostClock::now();
-  const auto since_start_ns = [&run_start] {
-    return std::chrono::duration_cast<std::chrono::nanoseconds>(
-               HostClock::now() - run_start)
-        .count();
-  };
-  const auto to_ns = [](std::chrono::milliseconds ms) {
-    return std::chrono::duration_cast<std::chrono::nanoseconds>(ms).count();
-  };
-
-  std::vector<CancelToken> tokens(watchdog_on ? n : 0);
-  // Per-cell start stamp: ns-since-run-start + 1 (0 = not running).
-  // Written by the executing thread, scanned by the watchdog.
-  std::unique_ptr<std::atomic<std::int64_t>[]> started;
-  if (watchdog_on) {
-    started.reset(new std::atomic<std::int64_t>[n]);
-    for (std::size_t i = 0; i < n; ++i) {
-      started[i].store(0, std::memory_order_relaxed);
-    }
-  }
-  std::atomic<bool> run_expired{false};
-  std::atomic<std::size_t> watchdog_fired{0};
-
-  struct WatchdogGate {
-    std::mutex mutex;
-    std::condition_variable cv;
-    bool stop = false;
-  } wd_gate;
-  std::thread watchdog;
-  if (watchdog_on) {
-    // Tick at 1/8 of the tightest budget, clamped to [1, 50] ms: prompt
-    // enough to catch an overdue cell quickly, cheap enough to be
-    // invisible. Cancellation is cooperative — the watchdog only flips
-    // tokens; cells notice at their next poll or retry boundary.
-    std::chrono::milliseconds tick{50};
-    if (cell_dl_on) tick = std::min(tick, policy.cell_deadline / 8);
-    if (run_dl_on) tick = std::min(tick, policy.run_deadline / 8);
-    tick = std::max(tick, std::chrono::milliseconds{1});
-    const std::int64_t cell_budget_ns =
-        cell_dl_on ? to_ns(policy.cell_deadline) : 0;
-    const std::int64_t run_budget_ns =
-        run_dl_on ? to_ns(policy.run_deadline) : 0;
-    watchdog = std::thread([&, tick, cell_budget_ns, run_budget_ns] {
-      std::unique_lock<std::mutex> lock(wd_gate.mutex);
-      for (;;) {
-        wd_gate.cv.wait_for(lock, tick, [&] { return wd_gate.stop; });
-        if (wd_gate.stop) return;
-        const std::int64_t now_ns = since_start_ns();
-        if (run_dl_on && now_ns >= run_budget_ns &&
-            !run_expired.exchange(true)) {
-          // Whole run over budget: cancel everything in flight; the
-          // scheduler refuses cells that have not started yet.
-          for (std::size_t i = 0; i < n; ++i) tokens[i].cancel();
-          watchdog_fired.fetch_add(1, std::memory_order_relaxed);
-        }
-        if (!cell_dl_on) continue;
-        for (std::size_t i = 0; i < n; ++i) {
-          const std::int64_t s = started[i].load(std::memory_order_acquire);
-          if (s == 0 || tokens[i].cancelled()) continue;
-          if (now_ns - (s - 1) >= cell_budget_ns) {
-            tokens[i].cancel();
-            watchdog_fired.fetch_add(1, std::memory_order_relaxed);
-          }
-        }
-      }
-    });
-  }
-
-  // --- Scheduler state (one mutex — tasks are coarse). -------------------
-  struct State {
-    std::mutex mutex;
-    std::condition_variable done_cv;
-    std::vector<std::size_t> unmet;
-    std::vector<std::vector<TaskId>> dependents;
-    std::vector<bool> failed;
-    std::vector<TaskId> ready;    ///< Newly unblocked, not yet triaged.
-    std::vector<TaskId> pending;  ///< Admitted candidates, not started.
-    std::size_t inflight = 0;
-    std::size_t remaining = 0;
-  } state;
-  state.unmet.assign(n, 0);
-  state.dependents.assign(n, {});
-  state.failed.assign(n, false);
-  for (TaskId id = 0; id < n; ++id) {
-    state.unmet[id] = tasks_[id].deps.size();
-    for (const TaskId d : tasks_[id].deps) {
-      state.dependents[d].push_back(id);
-    }
-  }
-  state.remaining = n;
-  for (TaskId id = 0; id < n; ++id) {
-    if (state.unmet[id] == 0) state.ready.push_back(id);
-  }
-
-  // Which cells never executed — cache hit, dependency skip, shed, or
-  // deadline refusal — so the post-run assertion can check their snapshot
-  // slots stayed empty. unsigned char, not vector<bool>: concurrent cells
-  // write distinct slots.
-  std::vector<unsigned char> cache_hit(n, 0);
-  std::vector<unsigned char> never_ran(n, 0);
-  // Per-cell error records, arena-built by whichever thread retires the
-  // cell into a preallocated slot; the caller collects them in task order
-  // only after every cell retired (the `remaining` handshake under
-  // `state.mutex` provides the happens-before). Slot order is task order,
-  // so no sort is needed.
-  std::vector<CellError*> cell_errors(n, nullptr);
-
-  // Retires a cell that will never execute. Lock held. Newly-unblocked
-  // dependents land in state.ready for pump_locked to triage.
-  const auto retire_unrun = [&](TaskId id, CellError::Kind kind,
-                                const char* message) {
-    state.failed[id] = true;
-    never_ran[id] = 1;
-    if (kind == CellError::kSkipped) {
-      ++report.skipped;
-    } else {
-      ++report.failed;
-      if (kind == CellError::kDeadline) ++report.deadline_failed;
-      if (kind == CellError::kShedded) ++report.shed;
-    }
-    cell_errors[id] = local_arena().make<CellError>(
-        CellError{id, tasks_[id].label, 0, kind == CellError::kSkipped,
-                  message, kind});
-    for (const TaskId dep : state.dependents[id]) {
-      if (--state.unmet[dep] == 0) state.ready.push_back(dep);
-    }
-    --state.remaining;
-  };
-
-  const bool admission_on =
-      admission_.max_pending > 0 || admission_.memory_budget_bytes > 0;
-  const auto arena_bytes = [&] {
-    std::size_t total = 0;
-    for (const auto& a : arenas_) total += a->bytes_allocated();
-    return total;
-  };
-  const auto over_budget = [&] {
-    if (admission_.max_pending > 0 &&
-        state.pending.size() + state.inflight > admission_.max_pending) {
-      return true;
-    }
-    if (admission_.memory_budget_bytes > 0 &&
-        arena_bytes() > admission_.memory_budget_bytes) {
-      return true;
-    }
-    return false;
-  };
-
-  // Triages ready cells (dependency-failed ones retire as skipped, which
-  // can cascade), enforces the admission budget by shedding the worst
-  // pending cell while over it, then pops up to `max_dispatch` cells to
-  // start — best (highest priority, lowest id) first. Lock held.
-  const auto pump_locked = [&](std::size_t max_dispatch,
-                               std::vector<TaskId>& dispatch) {
-    for (;;) {
-      while (!state.ready.empty()) {
-        const TaskId id = state.ready.back();
-        state.ready.pop_back();
-        bool dep_failed = false;
-        for (const TaskId d : tasks_[id].deps) {
-          dep_failed = dep_failed || state.failed[d];
-        }
-        if (dep_failed) {
-          retire_unrun(id, CellError::kSkipped,
-                       "skipped: dependency failed");
-        } else {
-          state.pending.push_back(id);
-        }
-      }
-      if (!admission_on || state.pending.empty() || !over_budget()) break;
-      // Shed order: lowest priority first, ties toward the youngest id —
-      // the mirror image of dispatch order.
-      std::size_t worst = 0;
-      for (std::size_t i = 1; i < state.pending.size(); ++i) {
-        const Task& a = tasks_[state.pending[i]];
-        const Task& b = tasks_[state.pending[worst]];
-        if (a.priority < b.priority ||
-            (a.priority == b.priority &&
-             state.pending[i] > state.pending[worst])) {
-          worst = i;
-        }
-      }
-      const TaskId shed_id = state.pending[worst];
-      state.pending.erase(state.pending.begin() +
-                          static_cast<std::ptrdiff_t>(worst));
-      retire_unrun(shed_id, CellError::kShedded,
-                   "shed: admission budget exceeded");
-      // Loop again: the shed cell's dependents need triage, and the
-      // budget may still be exceeded.
-    }
-    while (!state.pending.empty() && dispatch.size() < max_dispatch) {
-      std::size_t best = 0;
-      for (std::size_t i = 1; i < state.pending.size(); ++i) {
-        const Task& a = tasks_[state.pending[i]];
-        const Task& b = tasks_[state.pending[best]];
-        if (a.priority > b.priority ||
-            (a.priority == b.priority &&
-             state.pending[i] < state.pending[best])) {
-          best = i;
-        }
-      }
-      dispatch.push_back(state.pending[best]);
-      state.pending.erase(state.pending.begin() +
-                          static_cast<std::ptrdiff_t>(best));
-      ++state.inflight;
-    }
-  };
-
-  // Runs one cell through probe -> journal -> retries -> publish, under a
-  // fresh obs scope when capture is on. The scope is per-attempt-sequence
-  // (not per-attempt): a retried cell's snapshot accumulates the traffic
-  // of every attempt, which is the honest cost. A probe hit never opens a
-  // scope — the cell does no work, so its snapshot slot must stay empty.
-  // Publish runs after the scope closes and only for successful cells;
-  // the journal commit follows the publish (see SweepJournal contract).
-  const auto attempt_cell = [&](TaskId id) {
+  // Runs one cell through probe -> function -> publish, unless one of its
+  // dependencies failed or was skipped. A probe hit never opens a scope —
+  // the cell does no work, so its snapshot slot must stay empty. A cell
+  // that throws keeps the snapshot of its failed run (that traffic is
+  // real) and is not published.
+  const auto run_cell = [&](TaskId id) {
     const Task& task = tasks_[id];
-    CellOutcome out;
+    Outcome& out = outcomes[id];
+    for (const TaskId d : task.deps) {
+      if (outcomes[d].state == Outcome::kFailed ||
+          outcomes[d].state == Outcome::kSkipped) {
+        out.state = Outcome::kSkipped;
+        return;
+      }
+    }
     out.probed = static_cast<bool>(task.hooks.probe);
-    if (out.probed && probe_task(task.hooks)) {
-      out.hit = true;
-      out.resumed = replay[id] != 0;
-      out.attempt.ok = true;
-      out.attempt.attempts = 1;  // Retire arithmetic: zero retries.
-      cache_hit[id] = 1;
-      // A fresh hit still earns a commit record — the journal's committed
-      // set must cover everything retired-complete. A replayed hit is
-      // already in the journal.
-      if (!out.resumed) {
-        journal_try([&] { journal->cell_commit(id); });
-      }
-      return out;
+    if (probe_task(task.hooks)) {
+      out.state = Outcome::kHit;
+      return;
     }
-    journal_try([&] { journal->cell_begin(id, task.label); });
-    RetryBounds bounds;
-    if (watchdog_on) {
-      bounds.token = &tokens[id];
-      auto deadline = HostClock::time_point::max();
-      if (cell_dl_on) deadline = HostClock::now() + policy.cell_deadline;
-      if (run_dl_on) {
-        deadline = std::min(deadline, run_start + policy.run_deadline);
-      }
-      bounds.has_deadline = true;
-      bounds.deadline = deadline;
-      started[id].store(since_start_ns() + 1, std::memory_order_release);
-      tls_cancel = bounds.token;
-    }
+    std::optional<std::string> error;
     if (!capture_) {
-      out.attempt = run_with_retries(task.fn, policy, bounds);
+      error = invoke(task.fn);
     } else {
       obs::Scope scope;
-      out.attempt = run_with_retries(task.fn, policy, bounds);
+      error = invoke(task.fn);
       report.snapshots[id] = scope.snapshot();
     }
-    if (watchdog_on) {
-      tls_cancel = nullptr;
-      started[id].store(0, std::memory_order_release);
-      // Success wins even when the token fired late; only a failure under
-      // a cancelled token is charged to the deadline.
-      out.deadline = !out.attempt.ok &&
-                     (out.attempt.cancelled || bounds.token->cancelled());
+    if (error) {
+      out.state = Outcome::kFailed;
+      out.message = std::move(*error);
+      return;
     }
-    if (out.attempt.ok) {
-      out.stored = publish_task(
-          task.hooks, capture_ ? report.snapshots[id] : obs::Snapshot{});
-      journal_try([&] { journal->cell_commit(id); });
-    } else {
-      journal_try([&] { journal->cell_fail(id, out.attempt.message); });
-    }
-    return out;
+    out.stored = publish_task(
+        task.hooks, capture_ ? report.snapshots[id] : obs::Snapshot{});
   };
 
-  // Folds one executed cell into the report. Lock held.
-  const auto account = [&report](const CellOutcome& out) {
-    report.retries += out.attempt.attempts - 1;
-    if (out.hit) {
-      ++report.cache_hits;
-      if (out.resumed) ++report.resumed;
-    } else if (out.probed) {
-      ++report.cache_misses;
+  if (pool_ == nullptr || pool_->size() <= 1) {
+    // Insertion order is topological by construction.
+    for (TaskId id = 0; id < n; ++id) run_cell(id);
+  } else {
+    // Scheduler state shared between the submitting thread and the
+    // workers, all guarded by one mutex (tasks are coarse).
+    std::mutex mutex;
+    std::condition_variable done_cv;
+    std::vector<std::size_t> unmet(n, 0);  // Unretired dependency count.
+    std::vector<std::vector<TaskId>> dependents(n);
+    std::size_t remaining = n;  // Tasks not yet retired.
+    for (TaskId id = 0; id < n; ++id) {
+      unmet[id] = tasks_[id].deps.size();
+      for (const TaskId d : tasks_[id].deps) dependents[d].push_back(id);
+    }
+
+    // Runs `id`, then retires it and launches newly-ready dependents
+    // (which may themselves retire as skipped).
+    std::function<void(TaskId)> execute = [&](TaskId id) {
+      run_cell(id);
+      std::vector<TaskId> ready;
+      {
+        std::lock_guard<std::mutex> lock(mutex);
+        for (const TaskId dep : dependents[id]) {
+          if (--unmet[dep] == 0) ready.push_back(dep);
+        }
+        if (--remaining == 0) done_cv.notify_all();
+      }
+      for (const TaskId r : ready) {
+        (void)pool_->submit([&execute, r] { execute(r); });
+      }
+    };
+
+    for (TaskId id = 0; id < n; ++id) {
+      if (tasks_[id].deps.empty()) {
+        (void)pool_->submit([&execute, id] { execute(id); });
+      }
+    }
+    std::unique_lock<std::mutex> lock(mutex);
+    // Bounded by the tasks themselves: every submitted task retires, and
+    // every task is submitted once its dependencies retire.
+    // SIMLINT-ALLOW(unbounded-wait)
+    done_cv.wait(lock, [&] { return remaining == 0; });
+  }
+
+  for (TaskId id = 0; id < n; ++id) {
+    const Outcome& out = outcomes[id];
+    if (out.probed) {
+      ++(out.state == Outcome::kHit ? report.cache_hits
+                                    : report.cache_misses);
     }
     if (out.stored) ++report.cache_stored;
-    if (out.attempt.ok) ++report.completed;
-  };
-
-  const bool serial = pool_ == nullptr || pool_->size() <= 1;
-  constexpr std::size_t kDispatchAll = static_cast<std::size_t>(-1);
-
-  std::function<void(TaskId)> execute_cell = [&](TaskId id) {
-    const bool refused = run_expired.load(std::memory_order_acquire);
-    CellOutcome out;
-    if (!refused) out = attempt_cell(id);
-    std::vector<TaskId> dispatch;
-    {
-      std::lock_guard<std::mutex> lock(state.mutex);
-      --state.inflight;
-      if (refused) {
-        retire_unrun(id, CellError::kDeadline,
-                     "deadline: run budget exhausted before cell start");
-      } else {
-        account(out);
-        if (!out.attempt.ok) {
-          state.failed[id] = true;
-          ++report.failed;
-          CellError::Kind kind = CellError::kFailed;
-          if (out.deadline) {
-            kind = CellError::kDeadline;
-            ++report.deadline_failed;
-          }
-          cell_errors[id] = local_arena().make<CellError>(
-              CellError{id, tasks_[id].label, out.attempt.attempts, false,
-                        std::move(out.attempt.message), kind});
-        }
-        for (const TaskId dep : state.dependents[id]) {
-          if (--state.unmet[dep] == 0) state.ready.push_back(dep);
-        }
-        --state.remaining;
-      }
-      if (!serial) pump_locked(kDispatchAll, dispatch);
-      if (state.remaining == 0) state.done_cv.notify_all();
+    switch (out.state) {
+      case Outcome::kRan:
+      case Outcome::kHit:
+        ++report.completed;
+        break;
+      case Outcome::kFailed:
+        ++report.failed;
+        report.errors.push_back(
+            CellError{id, tasks_[id].label, false, out.message});
+        break;
+      case Outcome::kSkipped:
+        ++report.skipped;
+        report.errors.push_back(CellError{id, tasks_[id].label, true,
+                                          "skipped: dependency failed"});
+        break;
     }
-    for (const TaskId r : dispatch) {
-      (void)pool_->submit([&execute_cell, r] { execute_cell(r); });
-    }
-  };
-
-  if (serial) {
-    // Serial dispatch pops the lowest ready id at default priorities,
-    // which is exactly the old insertion-order walk: a task's deps have
-    // smaller ids, so the minimum unfinished id is always ready.
-    for (;;) {
-      std::vector<TaskId> dispatch;
-      {
-        std::lock_guard<std::mutex> lock(state.mutex);
-        pump_locked(1, dispatch);
-      }
-      if (dispatch.empty()) break;
-      execute_cell(dispatch[0]);
-    }
-    IMPACT_ASSERT(state.remaining == 0);
-  } else {
-    std::vector<TaskId> dispatch;
-    {
-      std::lock_guard<std::mutex> lock(state.mutex);
-      pump_locked(kDispatchAll, dispatch);
-    }
-    for (const TaskId r : dispatch) {
-      (void)pool_->submit([&execute_cell, r] { execute_cell(r); });
-    }
-    std::unique_lock<std::mutex> lock(state.mutex);
-    // Always satisfiable: every admitted cell retires exactly once (the
-    // watchdog cancels overdue cells; refusal retires the rest), and
-    // shed/skipped cells retire inside pump_locked.
-    // SIMLINT-ALLOW(unbounded-wait)
-    state.done_cv.wait(lock, [&] { return state.remaining == 0; });
-  }
-
-  if (watchdog.joinable()) {
-    {
-      std::lock_guard<std::mutex> lock(wd_gate.mutex);
-      wd_gate.stop = true;
-    }
-    wd_gate.cv.notify_all();
-    // Bounded: the stop flag is set and the watchdog wakes every tick.
-    // SIMLINT-ALLOW(unbounded-wait)
-    watchdog.join();
-  }
-
-  for (CellError* e : cell_errors) {
-    if (e != nullptr) report.errors.push_back(std::move(*e));
-  }
-  // Every cell that never executed (cache hit, dependency skip, shed,
-  // deadline refusal) must leave its preallocated snapshot slot
-  // empty-but-valid: merging the grid's snapshots would otherwise
-  // double-count cached work, and the CellRunner relies on "empty slot ==
-  // no fresh telemetry" to splice cached snapshots back in. Enforced, not
-  // assumed. (Cells that ran and failed are excluded on purpose: their
-  // snapshots hold the traffic of the failed attempts, which is real.)
-  if (capture_) {
-    for (TaskId id = 0; id < n; ++id) {
-      if (cache_hit[id] != 0 || never_ran[id] != 0) {
-        IMPACT_ASSERT(report.snapshots[id].empty());
-      }
+    // A cell that never executed (cache hit, dependency skip) must leave
+    // its preallocated snapshot slot empty-but-valid: merging the grid's
+    // snapshots would otherwise double-count cached work, and the
+    // CellRunner relies on "empty slot == no fresh telemetry" to splice
+    // cached snapshots back in. Enforced, not assumed.
+    if (capture_ &&
+        (out.state == Outcome::kHit || out.state == Outcome::kSkipped)) {
+      IMPACT_ASSERT(report.snapshots[id].empty());
     }
   }
-  emit_cache_obs(report.cache_hits, report.cache_misses,
-                 report.cache_stored);
-  emit_resil_obs(report, watchdog_fired.load(std::memory_order_relaxed));
-  journal_try([&] { journal->end_run(report); });
+  emit_cache_obs(report);
   return report;
 }
 

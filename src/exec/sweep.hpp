@@ -14,110 +14,33 @@
 // deterministically, so a parallel sweep reproduces the serial one.
 #pragma once
 
-#include <atomic>
-#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <initializer_list>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
-#include <memory>
-
-#include "exec/arena.hpp"
 #include "exec/thread_pool.hpp"
 #include "obs/snapshot.hpp"
 
 namespace impact::exec {
 
-/// Thrown by a task to signal a failure worth retrying (an injected fault,
-/// a flaky resource). `run_resilient` retries these up to the policy's
-/// attempt budget; any other exception type fails the cell on the first
-/// throw unless the policy opts into `retry_all`.
-class TransientError : public std::runtime_error {
- public:
-  using std::runtime_error::runtime_error;
-};
-
-/// Retry behaviour for the guarded runs (`run_resilient` /
-/// `run_resumable`). Backoff doubles per retry from `backoff_base` up to
-/// `backoff_cap`; the defaults keep tests fast while still exercising the
-/// capped-exponential schedule.
-///
-/// Deadlines are host wall-clock budgets and never touch simulated time:
-/// they bound how long the engine is willing to wait for a cell, not what
-/// the cell computes, so a run that finishes within budget is bit-identical
-/// with deadlines on or off. A retry loop also respects them — a backoff
-/// sleep that would overshoot the cell's budget is not taken (the satellite
-/// fix for retry schedules that could exceed any wall-clock bound).
-struct RetryPolicy {
-  std::size_t max_attempts = 3;  ///< Total tries per task (minimum 1).
-  std::chrono::microseconds backoff_base{100};
-  std::chrono::microseconds backoff_cap{100000};
-  bool retry_all = false;  ///< Also retry non-TransientError exceptions.
-  /// Per-cell wall-clock budget, measured from the cell's first attempt.
-  /// An overdue cell is cancelled cooperatively by the watchdog and
-  /// recorded as CellError::kDeadline. Zero disables.
-  std::chrono::milliseconds cell_deadline{0};
-  /// Whole-run wall-clock budget, measured from run start. Once exceeded,
-  /// in-flight cells are cancelled and not-yet-started cells are refused
-  /// (all recorded as kDeadline); retired cells keep their results. Zero
-  /// disables.
-  std::chrono::milliseconds run_deadline{0};
-};
-
-/// Cooperative cancellation flag. The guarded runs hand one token to every
-/// cell; the watchdog sets it when the cell (or the whole run) goes over
-/// budget. Long-running cell functions should poll `current_cancel()` at
-/// loop boundaries and bail out with an exception once cancelled —
-/// cancellation is advisory, never preemptive, so a cell that ignores it
-/// simply runs to completion (and still wins if it succeeds).
-class CancelToken {
- public:
-  void cancel() noexcept { cancelled_.store(true, std::memory_order_release); }
-  [[nodiscard]] bool cancelled() const noexcept {
-    return cancelled_.load(std::memory_order_acquire);
-  }
-
- private:
-  std::atomic<bool> cancelled_{false};
-};
-
-/// The cancellation token of the guarded-sweep cell currently executing on
-/// this thread, or nullptr outside one. Cells reach their token through
-/// this accessor so cell functions keep their plain `void()` signature.
-[[nodiscard]] CancelToken* current_cancel() noexcept;
-
-/// One failing (or skipped) cell of a resilient sweep run.
+/// One failed (or skipped) cell of a sweep run.
 struct CellError {
-  /// Why this cell has an error record. `kSkipped` mirrors the legacy
-  /// `skipped` flag; `kDeadline` and `kShedded` are failures the engine
-  /// imposed (over budget / shed by the admission gate) rather than
-  /// failures the cell produced.
-  enum Kind {
-    kFailed = 0,   ///< The cell ran and exhausted its attempts.
-    kSkipped,      ///< A dependency failed upstream; never attempted.
-    kDeadline,     ///< Cancelled over budget, or refused after run expiry.
-    kShedded,      ///< Shed by the admission gate; never attempted.
-  };
   std::size_t task = 0;
   std::string label;
-  std::size_t attempts = 0;  ///< 0 when the task was never attempted.
-  bool skipped = false;      ///< True: a dependency failed upstream.
-  std::string message;       ///< what() of the final failure.
-  Kind kind = kFailed;
+  bool skipped = false;  ///< True: a dependency failed; never attempted.
+  std::string message;   ///< what() of the failure.
 };
 
-/// Outcome of `Sweep::run_resilient`: every cell is accounted for exactly
-/// once as completed, failed, or skipped.
+/// Outcome of `Sweep::run`: every cell is accounted for exactly once as
+/// completed, failed, or skipped.
 struct RunReport {
   std::size_t tasks = 0;
   std::size_t completed = 0;
   std::size_t failed = 0;
   std::size_t skipped = 0;
-  std::size_t retries = 0;  ///< Extra attempts beyond the first, summed.
   /// Cache accounting for tasks added via `add_cached` (all zero when the
   /// sweep has no cached tasks). A hit counts toward `completed` — the
   /// cell's result exists, it just came from the cache — and its cell
@@ -125,14 +48,6 @@ struct RunReport {
   std::size_t cache_hits = 0;
   std::size_t cache_misses = 0;
   std::size_t cache_stored = 0;
-  /// Resilience accounting (all zero for plain, journal-less, in-budget
-  /// runs — the common case stays bit-identical to the pre-resil engine).
-  /// `resumed` counts cache hits validated by a journal replay: cells a
-  /// previous interrupted run committed, satisfied without re-running.
-  /// `deadline_failed` and `shed` are subsets of `failed`.
-  std::size_t resumed = 0;
-  std::size_t deadline_failed = 0;
-  std::size_t shed = 0;
   std::vector<CellError> errors;  ///< Failed + skipped cells, by task id.
   /// Per-cell obs snapshots, indexed by TaskId — populated only when the
   /// sweep ran with `set_capture(true)` (empty otherwise, and empty per
@@ -168,81 +83,12 @@ struct CacheHooks {
   std::function<void(const obs::Snapshot&)> publish;
 };
 
-/// Durable run-lifecycle hooks for checkpoint/resume, kept abstract for
-/// the same layering reason as CacheHooks: exec stays below the resil and
-/// store layers, so the engine reports lifecycle facts and asks exactly
-/// one question — "did an earlier run of this journal already commit cell
-/// id?" — without knowing how records are persisted. resil::Journal is the
-/// durable (write-ahead log) implementation.
-///
-/// Resume semantics: `committed(id)` alone never satisfies a cell. The
-/// engine still requires the cell's cache probe to materialize the result
-/// (journal = proof of completion, cache = the bytes); a committed cell
-/// whose probe misses simply re-runs. This keeps a lost or truncated cache
-/// a performance event, never a correctness event.
-///
-/// Contract: no call may break a sweep. The engine wraps every call in
-/// try/catch; the first throw silences the journal for the rest of the run
-/// and execution degrades to plain `run_resilient` behaviour (worst case:
-/// completed work is re-done after a crash, never lost). Cell-level calls
-/// may arrive concurrently from pool workers — implementations must
-/// synchronize internally.
-class SweepJournal {
- public:
-  virtual ~SweepJournal() = default;
-  /// Optional identity binding: callers that can fingerprint the whole
-  /// sweep (store::CellRunner's aggregate fingerprint) bind it before the
-  /// run so the journal can tell a resume of *this* sweep from a stale
-  /// file belonging to another one. The engine never calls this; the
-  /// default ignores it.
-  virtual void bind(std::uint64_t /*fp_hi*/, std::uint64_t /*fp_lo*/,
-                    std::size_t /*tasks*/) {}
-  /// A guarded run over `tasks` cells is starting.
-  virtual void begin_run(std::size_t tasks) = 0;
-  /// True when a previous run of this journal durably committed cell `id`.
-  [[nodiscard]] virtual bool committed(std::size_t id) const = 0;
-  /// Cell `id` is about to execute (intent record, for diagnostics).
-  virtual void cell_begin(std::size_t id, const std::string& label) = 0;
-  /// Cell `id` completed and its result was offered to the cache. Ordering
-  /// matters: the engine publishes to the cache first, then commits, so a
-  /// crash between the two degrades to a plain cache hit on resume.
-  virtual void cell_commit(std::size_t id) = 0;
-  /// Cell `id` exhausted its attempts; `message` is the final failure.
-  virtual void cell_fail(std::size_t id, const std::string& message) = 0;
-  /// Every cell retired; `report` is the final accounting.
-  virtual void end_run(const RunReport& report) = 0;
-};
-
-/// Load-shedding budgets for the guarded runs. Defaults are unlimited, in
-/// which case the gate is completely inert. When a budget is exceeded the
-/// engine sheds pending (ready, not yet started) cells lowest-priority
-/// first — a structured kShedded error per cell, dependents skipped —
-/// instead of aborting the whole process.
-struct AdmissionPolicy {
-  /// Maximum cells admitted at once (pending + in-flight). 0 = unlimited.
-  std::size_t max_pending = 0;
-  /// Budget over the sweep's own arenas (sum of bytes_allocated() across
-  /// workers). Arenas are monotonic for a sweep's lifetime, so once
-  /// tripped this sheds every cell not yet started. 0 = unlimited.
-  std::size_t memory_budget_bytes = 0;
-};
-
 class Sweep {
  public:
   using TaskId = std::size_t;
 
   /// `pool == nullptr` runs the sweep serially in insertion order.
-  explicit Sweep(ThreadPool* pool = nullptr) : pool_(pool) {
-    // One arena per pool worker plus a fallback slot for the caller thread
-    // (serial mode, or a degenerate inline batch). Tasks always run either
-    // on a pool worker (parallel dispatch goes through submit) or on the
-    // caller, so local_arena() is race-free without locks.
-    const std::size_t slots = (pool_ != nullptr ? pool_->size() : 0) + 1;
-    arenas_.reserve(slots);
-    for (std::size_t i = 0; i < slots; ++i) {
-      arenas_.push_back(std::make_unique<Arena>());
-    }
-  }
+  explicit Sweep(ThreadPool* pool = nullptr) : pool_(pool) {}
 
   /// Adds a task; `deps` must name tasks added earlier (insertion order is
   /// therefore always a valid topological order). Returns the task's id.
@@ -251,67 +97,25 @@ class Sweep {
 
   /// Like add(), but with cache hooks: `hooks.probe` may satisfy the cell
   /// without running `fn`, and `hooks.publish` offers the completed cell
-  /// for caching. Works under both run() and run_resilient(); hits are
-  /// counted in RunReport::cache_hits (and by the exec.sweep.cache_*
-  /// counters when an obs registry is current).
+  /// for caching. Hits are counted in RunReport::cache_hits (and by the
+  /// exec.sweep.cache_* counters when an obs registry is current).
   TaskId add_cached(std::string label, std::function<void()> fn,
                     CacheHooks hooks, std::initializer_list<TaskId> deps = {});
 
-  [[nodiscard]] std::size_t size() const { return tasks_.size(); }
+  /// Executes the graph: serially in insertion order without a pool,
+  /// otherwise every task starts on the pool once its dependencies have
+  /// retired. A task that throws fails once and records a CellError; only
+  /// its transitive dependents are skipped, and every independent task
+  /// still runs. Never throws from task failures; returns the accounting.
+  RunReport run();
 
-  /// Executes the graph. Parallel mode starts every task whose
-  /// dependencies completed; serial mode runs insertion order. The first
-  /// task exception is rethrown after all started tasks finish; tasks not
-  /// yet started when an error surfaces are skipped (their dependents too).
-  void run();
-
-  /// Fault-tolerant execution: each task is retried per `policy` (capped
-  /// exponential backoff between attempts), a task that exhausts its
-  /// budget records a CellError instead of aborting the sweep, and only
-  /// its dependents are skipped — every independent cell still completes.
-  /// Never throws from task failures; returns the full accounting.
-  RunReport run_resilient(const RetryPolicy& policy = {});
-
-  /// `run_resilient` with a durable checkpoint journal: cells committed by
-  /// a previous (interrupted) run of the same journal are satisfied from
-  /// their cache probe without re-running, and every fresh completion is
-  /// journaled so the *next* run can resume. An interrupted-then-resumed
-  /// run retires the same cells with the same results as an uninterrupted
-  /// one — bit-identical, serial or parallel.
-  RunReport run_resumable(SweepJournal& journal,
-                          const RetryPolicy& policy = {});
-
-  /// Admission gate for the guarded runs (see AdmissionPolicy). The
-  /// default (unlimited) leaves behaviour untouched.
-  void set_admission(const AdmissionPolicy& admission) {
-    admission_ = admission;
-  }
-
-  /// Shed order for the admission gate: higher priority is kept longer;
-  /// ties shed the youngest (highest) task id first. Default 0. Priority
-  /// also orders dispatch among simultaneously-ready cells, which cannot
-  /// change any result (cells are schedule-independent by construction).
-  void set_priority(TaskId id, std::int32_t priority);
-
-  /// When enabled, `run_resilient` opens a fresh obs::Scope around every
-  /// cell and stores the resulting Snapshot in RunReport::snapshots[id].
-  /// Each cell writes only its own preallocated slot, so capture preserves
-  /// the sweep's schedule-independence (and its bit-identical results —
+  /// When enabled, `run` opens a fresh obs::Scope around every cell and
+  /// stores the resulting Snapshot in RunReport::snapshots[id]. Each cell
+  /// writes only its own preallocated slot, so capture preserves the
+  /// sweep's schedule-independence (and its bit-identical results —
   /// instrumentation reads clocks, it never advances them).
   void set_capture(bool capture) { capture_ = capture; }
   [[nodiscard]] bool capture() const { return capture_; }
-
-  /// The calling thread's sweep-scope arena: a private bump allocator for
-  /// task-local objects whose lifetime is the whole sweep (inputs built by
-  /// one task and read by dependents — the dependency edges provide the
-  /// happens-before; the Sweep destructor reclaims everything). Pool
-  /// workers get their own arena each; any other thread (serial mode, the
-  /// caller) shares the fallback slot.
-  [[nodiscard]] Arena& local_arena() {
-    const std::size_t w = ThreadPool::current_worker_index();
-    if (pool_ != nullptr && w < pool_->size()) return *arenas_[w];
-    return *arenas_.back();
-  }
 
  private:
   struct Task {
@@ -319,22 +123,11 @@ class Sweep {
     std::function<void()> fn;
     std::vector<TaskId> deps;
     CacheHooks hooks;  ///< Empty functions on tasks added via add().
-    std::int32_t priority = 0;  ///< Admission-gate shed/dispatch order.
   };
-
-  /// The shared engine behind run_resilient (journal == nullptr) and
-  /// run_resumable: one guarded scheduler covering serial and parallel
-  /// execution, journaling, deadlines + watchdog, and admission control.
-  RunReport run_guarded(SweepJournal* journal, const RetryPolicy& policy);
 
   ThreadPool* pool_;
   std::vector<Task> tasks_;
-  /// Per-worker arenas + caller fallback (see local_arena). unique_ptr
-  /// keeps Arena addresses stable; the vector itself is never resized
-  /// after construction.
-  std::vector<std::unique_ptr<Arena>> arenas_;
   bool capture_ = false;
-  AdmissionPolicy admission_;
 };
 
 /// Maps i -> fn(i) for i in [0, n) into an index-ordered vector, using the

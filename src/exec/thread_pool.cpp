@@ -5,16 +5,6 @@
 
 namespace impact::exec {
 
-namespace {
-// Worker identity for per-worker state routing (Sweep::local_arena). This
-// is genuinely per-OS-thread bookkeeping, not simulation state: results
-// never depend on it, only which scratch arena serves an allocation.
-// SIMLINT-ALLOW(thread-local, global-state)
-thread_local std::size_t tls_worker_index = ThreadPool::kNotWorker;
-}  // namespace
-
-std::size_t ThreadPool::current_worker_index() { return tls_worker_index; }
-
 unsigned ThreadPool::default_threads() {
   if (const char* env = std::getenv("IMPACT_THREADS")) {
     char* end = nullptr;
@@ -88,7 +78,6 @@ bool ThreadPool::try_pop(std::size_t self, std::function<void()>& out) {
 }
 
 void ThreadPool::worker_loop(std::size_t self) {
-  tls_worker_index = self;
   for (;;) {
     {
       std::unique_lock<std::mutex> lock(wake_mutex_);

@@ -45,16 +45,6 @@ class ThreadPool {
     return static_cast<unsigned>(workers_.size());
   }
 
-  /// Sentinel returned by current_worker_index() off-pool.
-  static constexpr std::size_t kNotWorker = ~std::size_t{0};
-
-  /// Index of the pool worker running the calling thread, or kNotWorker
-  /// when the caller is not a pool worker (the main thread, a test).
-  /// Workers of *any* pool report the index within their own pool; use it
-  /// only to key per-worker state of the pool the work was submitted to
-  /// (Sweep::local_arena does exactly that).
-  [[nodiscard]] static std::size_t current_worker_index();
-
   /// Enqueues one task. The future carries the task's exception, if any.
   std::future<void> submit(std::function<void()> task);
 

@@ -4,6 +4,8 @@
 #include <bit>
 #include <limits>
 #include <memory>
+#include <optional>
+#include <stdexcept>
 #include <string>
 #include <utility>
 
@@ -429,12 +431,9 @@ std::vector<DefenseOverheads> evaluate_defense_matrix(
     const MultiprogConfig& config, std::span<const WorkloadKind> kinds,
     exec::ThreadPool* pool) {
   std::vector<DefenseOverheads> out(kinds.size());
-  // Inputs live on the building worker's sweep arena rather than being
-  // default-constructed up front and assigned across threads: each input is
-  // created whole by its build task, dependents read it through the sweep's
-  // build->run edges (which give the necessary happens-before), and the
-  // Sweep destructor reclaims the storage after run() returns.
-  std::vector<WorkloadInput*> inputs(kinds.size(), nullptr);
+  // One slot per workload, emplaced by its build task; dependents read it
+  // through the sweep's build->run edges (which give the happens-before).
+  std::vector<std::optional<WorkloadInput>> inputs(kinds.size());
 
   constexpr dram::RowPolicy kPolicies[] = {dram::RowPolicy::kOpenRow,
                                            dram::RowPolicy::kClosedRow,
@@ -452,11 +451,7 @@ std::vector<DefenseOverheads> evaluate_defense_matrix(
         "input:" + std::string(to_string(kinds[w])),
         // Sweep::run() returns before the enclosing scope unwinds, so
         // reference captures of the local grids are safe.
-        [&, w] {
-          inputs[w] =
-              sweep.local_arena().make<WorkloadInput>(build_input(config,
-                                                                  kinds[w]));
-        });
+        [&, w] { inputs[w].emplace(build_input(config, kinds[w])); });
     for (std::size_t p = 0; p < 3; ++p) {
       sweep.add("run:" + std::string(to_string(kinds[w])) + ":" +
                     to_string(kPolicies[p]),
@@ -467,7 +462,8 @@ std::vector<DefenseOverheads> evaluate_defense_matrix(
                 {build});
     }
   }
-  sweep.run();
+  const exec::RunReport report = sweep.run();
+  if (!report.ok()) throw std::runtime_error(report.summary());
   return out;
 }
 

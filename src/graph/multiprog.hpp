@@ -170,7 +170,8 @@ struct WorkloadInput {
 /// The whole Fig. 11 grid: one input-build task per workload feeding three
 /// per-policy run tasks, scheduled as a Sweep task graph over `pool`
 /// (serial in insertion order when `pool` is null). Output order follows
-/// `kinds`; cell values are schedule-independent.
+/// `kinds`; cell values are schedule-independent. Throws
+/// std::runtime_error carrying the sweep summary when any cell fails.
 [[nodiscard]] std::vector<DefenseOverheads> evaluate_defense_matrix(
     const MultiprogConfig& config, std::span<const WorkloadKind> kinds,
     exec::ThreadPool* pool = nullptr);

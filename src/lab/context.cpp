@@ -3,7 +3,6 @@
 #include <stdexcept>
 
 #include "exec/thread_pool.hpp"
-#include "resil/journal.hpp"
 #include "store/cell_runner.hpp"
 #include "store/result_cache.hpp"
 #include "store/workload_store.hpp"
@@ -95,8 +94,6 @@ store::CellRunner& Context::runner() {
   if (!runner_) {
     runner_ =
         std::make_unique<store::CellRunner>(cache(), workloads(), &pool());
-    journal_ = resil::journal_from_env();
-    if (journal_) runner_->set_journal(journal_.get());
   }
   return *runner_;
 }

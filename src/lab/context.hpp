@@ -2,10 +2,9 @@
 //
 // Pre-refactor every heavy driver repeated the same main() prologue:
 // construct an exec::ThreadPool (IMPACT_THREADS), a store::ResultCache
-// from env, a store::WorkloadStore, a store::CellRunner over the three,
-// and bind resil::journal_from_env() when IMPACT_JOURNAL is set. Context
-// owns that prologue once, lazily — an example that never touches the
-// runner never constructs a cache — and layers parameter resolution on
+// from env, a store::WorkloadStore and a store::CellRunner over the three.
+// Context owns that prologue once, lazily — an example that never touches
+// the runner never constructs a cache — and layers parameter resolution on
 // top: explicit --param overrides win over the spec's declared defaults,
 // and asking for an undeclared parameter throws (the schema is the
 // contract, not a suggestion).
@@ -21,9 +20,6 @@
 
 namespace impact::exec {
 class ThreadPool;
-}
-namespace impact::resil {
-class Journal;
 }
 namespace impact::store {
 class CellRunner;
@@ -64,8 +60,7 @@ class Context {
   /// Shared workload input store, created on first use.
   [[nodiscard]] store::WorkloadStore& workloads();
 
-  /// CellRunner over pool()/cache()/workloads(), with the IMPACT_JOURNAL
-  /// crash journal bound when the env asks for one. Created on first use.
+  /// CellRunner over pool()/cache()/workloads(), created on first use.
   [[nodiscard]] store::CellRunner& runner();
 
  private:
@@ -74,7 +69,6 @@ class Context {
   std::unique_ptr<exec::ThreadPool> pool_;
   std::unique_ptr<store::ResultCache> cache_;
   std::unique_ptr<store::WorkloadStore> workloads_;
-  std::unique_ptr<resil::Journal> journal_;
   std::unique_ptr<store::CellRunner> runner_;
 };
 

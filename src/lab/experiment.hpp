@@ -70,7 +70,7 @@ struct ExperimentSpec {
   /// cell-count pins in test_lab. Zero means "not cell-structured".
   std::function<std::size_t(const Context&)> cell_count;
   /// The experiment body. Receives the fully wired Context (pool,
-  /// cache, journal, parameter resolution) and returns a process exit
+  /// cache, parameter resolution) and returns a process exit
   /// code. Must write the same bytes to stdout the old binary wrote.
   std::function<int(Context&)> run;
 };

@@ -32,38 +32,7 @@ struct CellState {
   std::abort();
 }
 
-/// Aggregate identity of a whole grid: the name-sorted hash of every cell
-/// fingerprint (which already cover configs, seeds, schema version). Two
-/// sweeps share a journal history only when they would produce the same
-/// cells — the task count is bound separately, covering the input-build
-/// tasks that have no fingerprints of their own.
-Fingerprint aggregate_fingerprint(std::string_view sweep_kind,
-                                  const std::vector<Fingerprint>& fps) {
-  Canon c;
-  c.field("sweep", sweep_kind);
-  c.field("cells", static_cast<std::uint64_t>(fps.size()));
-  for (std::size_t i = 0; i < fps.size(); ++i) {
-    c.field("cell" + std::to_string(i), fps[i].hex());
-  }
-  return c.fingerprint();
-}
-
 }  // namespace
-
-exec::RunReport CellRunner::run_sweep(exec::Sweep& sweep,
-                                      const Fingerprint& agg) {
-  if (journal_ != nullptr) {
-    try {
-      journal_->bind(agg.hi, agg.lo, sweep.size());
-    } catch (...) {
-      // Journal unusable (unwritable path, I/O error): the grid must
-      // still run, just without crash tolerance.
-      return sweep.run_resilient(retry_);
-    }
-    return sweep.run_resumable(*journal_, retry_);
-  }
-  return sweep.run_resilient(retry_);
-}
 
 Fingerprint matrix_cell_fingerprint(const graph::MultiprogConfig& config,
                                     graph::WorkloadKind kind,
@@ -164,16 +133,7 @@ CellRunner::MatrixResult CellRunner::defense_matrix(
     }
   }
 
-  {
-    std::vector<Fingerprint> fps;
-    fps.reserve(kinds.size() * policies.size());
-    for (std::size_t w = 0; w < kinds.size(); ++w) {
-      for (std::size_t p = 0; p < policies.size(); ++p) {
-        fps.push_back(states[w][p].fp);
-      }
-    }
-    out.report = run_sweep(sweep, aggregate_fingerprint("defense_matrix", fps));
-  }
+  out.report = sweep.run();
   // Splice fresh telemetry into the per-cell results: cached cells carry
   // their record's snapshot already, fresh cells take the sweep capture.
   for (std::size_t w = 0; w < kinds.size(); ++w) {
@@ -232,13 +192,7 @@ CellRunner::RowsResult CellRunner::rows(
                      std::move(hooks));
   }
 
-  {
-    std::vector<Fingerprint> fps;
-    fps.reserve(n);
-    for (const CellState& cell : states) fps.push_back(cell.fp);
-    out.report = run_sweep(
-        sweep, aggregate_fingerprint("rows:" + std::string(sweep_label), fps));
-  }
+  out.report = sweep.run();
   return out;
 }
 

@@ -96,29 +96,10 @@ class CellRunner {
 
   [[nodiscard]] ResultCache& cache() { return cache_; }
 
-  /// Optional crash/resume journal (resil::Journal behind the abstract
-  /// exec seam; borrowed, may be null). When set, grids run through
-  /// Sweep::run_resumable: the runner binds the sweep's aggregate
-  /// fingerprint (over every cell fingerprint) so the journal can tell a
-  /// resume of this exact grid from a stale file, and cells committed by
-  /// an interrupted run are satisfied from the cache without re-running.
-  void set_journal(exec::SweepJournal* journal) { journal_ = journal; }
-
-  /// Retry/deadline policy for the grids (default: the engine's default).
-  void set_retry(const exec::RetryPolicy& retry) { retry_ = retry; }
-
  private:
-  /// Runs `sweep` resiliently, through the journal when one is set. `agg`
-  /// is the grid's aggregate fingerprint; a journal whose bind throws
-  /// (unwritable path, I/O error) degrades to journal-less execution.
-  [[nodiscard]] exec::RunReport run_sweep(exec::Sweep& sweep,
-                                          const Fingerprint& agg);
-
   ResultCache& cache_;
   WorkloadStore& workloads_;
   exec::ThreadPool* pool_;
-  exec::SweepJournal* journal_ = nullptr;
-  exec::RetryPolicy retry_;
 };
 
 }  // namespace impact::store

@@ -21,9 +21,9 @@
 //     Misses fall through to disk; disk hits are pulled into memory.
 //     Writes go through a temp file + fsync + rename + directory fsync so
 //     a crashed run never leaves a truncated record behind (parse() would
-//     reject one anyway) and a committed record survives power loss — the
-//     resil journal counts on this: its commit records promise the cache
-//     still holds the bytes after any crash.
+//     reject one anyway) and a committed record survives power loss —
+//     rerunning an interrupted grid on the same directory counts on this
+//     to resume from every cell that was stored.
 //
 // Environment:
 //   IMPACT_STORE=0        disable the cache entirely (every probe misses,

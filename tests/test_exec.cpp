@@ -101,7 +101,7 @@ TEST(Sweep, SerialRunsInInsertionOrder) {
   for (int i = 0; i < 5; ++i) {
     sweep.add("t" + std::to_string(i), [&order, i] { order.push_back(i); });
   }
-  sweep.run();
+  EXPECT_TRUE(sweep.run().ok());
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
 }
 
@@ -118,7 +118,7 @@ TEST(Sweep, DependenciesRunBeforeDependents) {
               },
               {build});
   }
-  sweep.run();
+  EXPECT_TRUE(sweep.run().ok());
   EXPECT_EQ(violations.load(), 0);
 }
 
@@ -128,14 +128,24 @@ TEST(Sweep, RejectsForwardDependencies) {
   EXPECT_THROW(sweep.add("b", [] {}, {t0 + 1}), std::invalid_argument);
 }
 
-TEST(Sweep, ErrorSkipsDependentsAndRethrows) {
+TEST(Sweep, ErrorSkipsDependentsAndIsReported) {
   exec::ThreadPool pool(2);
   exec::Sweep sweep(&pool);
   std::atomic<bool> dependent_ran{false};
   const auto bad =
       sweep.add("bad", [] { throw std::runtime_error("build failed"); });
-  sweep.add("child", [&dependent_ran] { dependent_ran = true; }, {bad});
-  EXPECT_THROW(sweep.run(), std::runtime_error);
+  const auto child =
+      sweep.add("child", [&dependent_ran] { dependent_ran = true; }, {bad});
+  const exec::RunReport report = sweep.run();
+  EXPECT_FALSE(report.ok());
+  EXPECT_EQ(report.completed, 0u);
+  EXPECT_EQ(report.failed, 1u);
+  EXPECT_EQ(report.skipped, 1u);
+  ASSERT_EQ(report.errors.size(), 2u);
+  EXPECT_EQ(report.errors[0].task, bad);
+  EXPECT_EQ(report.errors[0].message, "build failed");
+  EXPECT_EQ(report.errors[1].task, child);
+  EXPECT_TRUE(report.errors[1].skipped);
   EXPECT_FALSE(dependent_ran.load());
 }
 
@@ -148,14 +158,13 @@ TEST(SweepCache, ProbeHitSkipsFunctionAndCounts) {
       {[] { return true; }, [&](const obs::Snapshot&) { published = true; }});
   sweep.add_cached(
       "miss", [] {}, {[] { return false; }, {}});
-  const auto report = sweep.run_resilient();
+  const auto report = sweep.run();
   EXPECT_TRUE(report.ok());
   EXPECT_FALSE(ran) << "a probe hit must skip the cell function";
   EXPECT_FALSE(published) << "publish only runs after the function";
   EXPECT_EQ(report.completed, 2u) << "a hit still counts as completed";
   EXPECT_EQ(report.cache_hits, 1u);
   EXPECT_EQ(report.cache_misses, 1u);
-  EXPECT_EQ(report.retries, 0u);
 }
 
 TEST(SweepCache, HookExceptionsNeverBreakTheSweep) {
@@ -170,7 +179,7 @@ TEST(SweepCache, HookExceptionsNeverBreakTheSweep) {
       "bad-publish", [&] { ++ran; },
       {[] { return false; },
        [](const obs::Snapshot&) { throw std::runtime_error("publish"); }});
-  const auto report = sweep.run_resilient();
+  const auto report = sweep.run();
   EXPECT_TRUE(report.ok());
   EXPECT_EQ(ran, 2);
   EXPECT_EQ(report.cache_hits, 0u);
@@ -193,7 +202,7 @@ TEST(SweepCache, HitLeavesSnapshotSlotEmptyButValid) {
           if (auto c = obs::counter("exec_test.cache_cells")) c.add(1);
         },
         {[] { return false; }, {}});
-    const auto report = sweep.run_resilient();
+    const auto report = sweep.run();
     ASSERT_TRUE(report.ok()) << threads << " thread(s)";
     // Preallocated per-cell slots: a hit's slot exists (mergeable) but
     // holds nothing — the cell never executed, so any content would be
@@ -219,7 +228,7 @@ TEST(SweepCache, PlainRunHonoursProbeAndPublish) {
   sweep.add_cached(
       "miss", [] {},
       {[] { return false; }, [&](const obs::Snapshot&) { published = true; }});
-  sweep.run();  // run(), not run_resilient(): same cache semantics.
+  (void)sweep.run();
   EXPECT_FALSE(ran);
   EXPECT_TRUE(published);
 }
@@ -231,7 +240,7 @@ TEST(SweepCache, HitSatisfiesDependents) {
       "producer", [] { FAIL() << "cached producer must not run"; },
       {[] { return true; }, {}});
   sweep.add("consumer", [&] { dependent_ran = true; }, {producer});
-  const auto report = sweep.run_resilient();
+  const auto report = sweep.run();
   EXPECT_TRUE(report.ok());
   EXPECT_TRUE(dependent_ran)
       << "a cache hit completes the task; dependents must proceed";
@@ -268,6 +277,24 @@ TEST(Determinism, DefenseMatrixMatchesAcrossPoolSizes) {
     const auto parallel =
         graph::evaluate_defense_matrix(config, graph::kAllWorkloads, &pool);
     EXPECT_EQ(serial, parallel) << threads << " thread(s)";
+  }
+}
+
+TEST(DefenseMatrix, FailedInputBuildThrowsTheSweepSummary) {
+  auto config = tiny_config();
+  config.rmat_scale = 0;  // Rejected by CsrGraph::rmat: every build fails.
+  for (unsigned threads : {0u, 2u}) {
+    exec::ThreadPool pool(threads == 0 ? 1 : threads);
+    try {
+      (void)graph::evaluate_defense_matrix(config, graph::kAllWorkloads,
+                                           threads == 0 ? nullptr : &pool);
+      ADD_FAILURE() << "expected a throw at " << threads << " thread(s)";
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("0/20 tasks completed, 5 failed, 15 skipped"),
+                std::string::npos)
+          << what;
+    }
   }
 }
 

@@ -358,7 +358,7 @@ TEST(ObsSweep, CapturePerCellAndScheduleIndependent) {
   exec::Sweep serial(nullptr);
   serial.set_capture(true);
   build(serial);
-  const exec::RunReport serial_report = serial.run_resilient();
+  const exec::RunReport serial_report = serial.run();
   ASSERT_TRUE(serial_report.ok());
   ASSERT_EQ(serial_report.snapshots.size(), 6u);
   obs::Snapshot merged;
@@ -372,7 +372,7 @@ TEST(ObsSweep, CapturePerCellAndScheduleIndependent) {
   exec::Sweep parallel(&pool);
   parallel.set_capture(true);
   build(parallel);
-  const exec::RunReport parallel_report = parallel.run_resilient();
+  const exec::RunReport parallel_report = parallel.run();
   ASSERT_TRUE(parallel_report.ok());
   ASSERT_EQ(parallel_report.snapshots.size(), 6u);
   for (std::uint64_t i = 0; i < 6; ++i) {
@@ -384,7 +384,7 @@ TEST(ObsSweep, CapturePerCellAndScheduleIndependent) {
 TEST(ObsSweep, CaptureOffLeavesReportEmpty) {
   exec::Sweep sweep(nullptr);
   sweep.add("noop", [] {});
-  const exec::RunReport report = sweep.run_resilient();
+  const exec::RunReport report = sweep.run();
   EXPECT_TRUE(report.ok());
   EXPECT_TRUE(report.snapshots.empty());
 }

@@ -1,18 +1,28 @@
-// Tests of the content-addressed experiment cache (src/store/): fingerprint
+// Tests of the content-addressed experiment cache (src/store/): crash
+// recovery (SIGKILL a disk-cached grid mid-sweep, rerun it on the same
+// store, pin bit-identity against an uninterrupted run), fingerprint
 // canonicalization (order-insensitivity, type tags, schema salt, the golden
 // pin), byte-stable record serialization, ResultCache backends (memory,
 // disk, corruption handling), WorkloadStore interning, and the CellRunner
 // warm-path contract — warm grids bit-identical to cold, serial and
 // parallel, with the verify mode aborting on a lying cache.
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <csignal>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <memory>
 #include <span>
+#include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "obs/scope.hpp"
@@ -51,6 +61,177 @@ store::Record sample_record() {
   h.add(-1.0);  // Underflow bucket.
   rec.snapshot.dists.emplace("dram.latency", h);
   return rec;
+}
+
+// --- Crash recovery through the store alone -----------------------------
+//
+// A child process runs a disk-cached CellRunner grid and SIGKILLs itself
+// mid-sweep (deterministically: the victim cell first waits until the
+// store directory holds at least one published .rec file, so the rerun
+// always has something to hit). A second child with the same store reruns
+// the grid and must retire the same cells with the same bytes as an
+// uninterrupted reference run. Defined first in this file so no earlier
+// in-process test has started (and joined) threads before the forks; gtest
+// runs only the death test ahead of it, which starts none in this process.
+
+namespace fs = std::filesystem;
+
+constexpr std::size_t kTortureCells = 8;
+
+fs::path fresh_dir(const std::string& tag) {
+  const fs::path dir =
+      fs::path(::testing::TempDir()) /
+      ("store_" + tag + "_" + std::to_string(::getpid()));
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  return dir;
+}
+
+std::string read_file(const fs::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream ss;
+  ss << in.rdbuf();
+  return ss.str();
+}
+
+std::size_t count_records(const fs::path& dir) {
+  std::size_t n = 0;
+  std::error_code ec;
+  for (const auto& entry : fs::directory_iterator(dir, ec)) {
+    n += entry.path().extension() == ".rec" ? 1 : 0;
+  }
+  return n;
+}
+
+store::Fingerprint torture_fingerprint(std::size_t i) {
+  store::Canon c;
+  c.field("cell", "store.torture");
+  c.field("i", static_cast<std::uint64_t>(i));
+  return c.fingerprint();
+}
+
+/// Runs the torture grid in the calling (child) process and writes a diag
+/// file: "tasks completed failed skipped cache_hits\n" followed by the
+/// rendered rows. `kill_at >= 0` makes that cell SIGKILL the process on
+/// the first run only (a marker file distinguishes runs).
+void child_run_grid(const fs::path& base, unsigned pool_threads, int kill_at,
+                    const fs::path& diag) {
+  store::ResultCache::Options cache_options;
+  cache_options.disk_dir = (base / "store").string();
+  store::ResultCache cache(cache_options);
+  store::WorkloadStore workloads;
+  std::unique_ptr<exec::ThreadPool> pool;
+  if (pool_threads > 1) {
+    pool = std::make_unique<exec::ThreadPool>(pool_threads);
+  }
+  store::CellRunner runner(cache, workloads, pool.get());
+
+  const fs::path marker = base / "killed";
+  const auto result = runner.rows(
+      "store.torture", kTortureCells, torture_fingerprint,
+      [&](std::size_t i) {
+        if (kill_at >= 0 && i == static_cast<std::size_t>(kill_at) &&
+            !fs::exists(marker)) {
+          { std::ofstream out(marker); out << "1\n"; }
+          // Guarantee the rerun has history: wait for one published
+          // record before dying. Serial runs already stored every earlier
+          // cell; parallel runs wait out their siblings.
+          const auto give_up =
+              std::chrono::steady_clock::now() + std::chrono::seconds(30);
+          while (count_records(base / "store") == 0 &&
+                 std::chrono::steady_clock::now() < give_up) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+          }
+          (void)::raise(SIGKILL);
+        }
+        return std::vector<std::string>{std::to_string(i),
+                                        std::to_string(i * i + 7)};
+      });
+
+  std::ofstream out(diag, std::ios::binary);
+  out << result.report.tasks << ' ' << result.report.completed << ' '
+      << result.report.failed << ' ' << result.report.skipped << ' '
+      << result.report.cache_hits << '\n';
+  for (const auto& row : result.rows) {
+    for (const auto& cell : row) out << cell << '\x1f';
+    out << '\n';
+  }
+}
+
+/// Forks, runs the grid in the child, and returns the child's wait status.
+int spawn_grid(const fs::path& base, unsigned pool_threads, int kill_at,
+               const fs::path& diag) {
+  const pid_t pid = ::fork();
+  if (pid == 0) {
+    child_run_grid(base, pool_threads, kill_at, diag);
+    ::_exit(0);
+  }
+  EXPECT_GT(pid, 0) << "fork failed";
+  int status = 0;
+  (void)::waitpid(pid, &status, 0);
+  return status;
+}
+
+struct DiagOutcome {
+  std::size_t tasks = 0;
+  std::size_t completed = 0;
+  std::size_t failed = 0;
+  std::size_t skipped = 0;
+  std::size_t cache_hits = 0;
+  std::string rows;
+};
+
+DiagOutcome parse_diag(const fs::path& diag) {
+  DiagOutcome out;
+  const std::string bytes = read_file(diag);
+  std::istringstream in(bytes);
+  in >> out.tasks >> out.completed >> out.failed >> out.skipped >>
+      out.cache_hits;
+  const auto newline = bytes.find('\n');
+  if (newline != std::string::npos) out.rows = bytes.substr(newline + 1);
+  return out;
+}
+
+TEST(StoreKillTorture, RerunAfterKillReproducesUninterruptedRun) {
+  for (const unsigned threads : {1u, 2u, 8u}) {
+    SCOPED_TRACE("pool threads = " + std::to_string(threads));
+    const fs::path ref_base = fresh_dir("ref" + std::to_string(threads));
+    const fs::path base = fresh_dir("tort" + std::to_string(threads));
+
+    // Uninterrupted reference (own store).
+    const int ref_status =
+        spawn_grid(ref_base, threads, -1, ref_base / "diag");
+    ASSERT_TRUE(WIFEXITED(ref_status) && WEXITSTATUS(ref_status) == 0);
+    const DiagOutcome ref = parse_diag(ref_base / "diag");
+    ASSERT_EQ(ref.tasks, kTortureCells);
+    ASSERT_EQ(ref.completed, kTortureCells);
+    ASSERT_EQ(ref.cache_hits, 0u);
+
+    // Victim: dies by SIGKILL mid-sweep, after >= 1 published record.
+    const int killed_status = spawn_grid(base, threads, 3, base / "unused");
+    ASSERT_TRUE(WIFSIGNALED(killed_status));
+    ASSERT_EQ(WTERMSIG(killed_status), SIGKILL);
+    ASSERT_FALSE(fs::exists(base / "unused")) << "victim wrote its diag";
+    ASSERT_GE(count_records(base / "store"), 1u);
+    ASSERT_LT(count_records(base / "store"), kTortureCells);
+
+    // Rerun with the same store: the grid must finish and be bit-identical
+    // to the reference (cache_hits legitimately differs — it describes
+    // *how* cells were satisfied, not the result).
+    const int rerun_status = spawn_grid(base, threads, 3, base / "diag");
+    ASSERT_TRUE(WIFEXITED(rerun_status) && WEXITSTATUS(rerun_status) == 0);
+    const DiagOutcome rerun = parse_diag(base / "diag");
+    EXPECT_EQ(rerun.tasks, ref.tasks);
+    EXPECT_EQ(rerun.completed, ref.completed);
+    EXPECT_EQ(rerun.failed, ref.failed);
+    EXPECT_EQ(rerun.skipped, ref.skipped);
+    EXPECT_EQ(rerun.rows, ref.rows);
+    EXPECT_GE(rerun.cache_hits, 1u)
+        << "the rerun replayed nothing from the store";
+
+    fs::remove_all(ref_base);
+    fs::remove_all(base);
+  }
 }
 
 // --- Fingerprints -------------------------------------------------------
@@ -328,6 +509,21 @@ TEST_F(ScratchDir, DiskBackendSurvivesAcrossCacheInstances) {
   const std::string on_disk((std::istreambuf_iterator<char>(in)),
                             std::istreambuf_iterator<char>());
   EXPECT_EQ(on_disk, store::serialize(rec));
+}
+
+TEST_F(ScratchDir, DiskWritesAreFsyncedBeforeRename) {
+  store::ResultCache::Options options;
+  options.disk_dir = dir_.string();
+  store::ResultCache cache(options);
+  cache.store(sample_record());
+
+  // Data fsync + directory fsync per disk write; the temp file is gone.
+  EXPECT_GE(cache.stats().fsyncs, 2u);
+  bool tmp_left = false;
+  for (const auto& entry : std::filesystem::directory_iterator(dir_)) {
+    tmp_left = tmp_left || entry.path().extension() == ".tmp";
+  }
+  EXPECT_FALSE(tmp_left);
 }
 
 TEST_F(ScratchDir, CorruptDiskRecordDegradesToMiss) {

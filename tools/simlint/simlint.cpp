@@ -65,7 +65,7 @@ const std::map<std::string, int>& layer_ranks() {
       {"util", 0},  {"model", 1},   {"dram", 2},     {"cache", 3},
       {"sys", 3},   {"pim", 4},     {"channel", 5},  {"attacks", 6},
       {"defense", 6}, {"genomics", 6}, {"graph", 7},  {"exec", 8},
-      {"store", 9},  {"resil", 10},  {"lab", 11},
+      {"store", 9},  {"lab", 10},
   };
   return kRanks;
 }
@@ -524,8 +524,8 @@ void run_token_rules(Emitter& em, const FileScan& f) {
   const bool tls_allowed = f.layer == "obs";
   // The one place a host thread may legitimately block forever: the pool's
   // own worker loop (its shutdown path sets stop_ under the same mutex).
-  // Everywhere else a wait must carry a deadline, or the crash-tolerance
-  // story (per-cell budgets, the sweep watchdog) has a hole it cannot see.
+  // Everywhere else an untimed wait must justify what bounds it: a host
+  // thread blocked forever hangs the whole experiment.
   const bool wait_allowlisted = f.rel == "exec/thread_pool.cpp";
 
   for (std::size_t i = 0; i < toks.size(); ++i) {

@@ -41,7 +41,7 @@ struct RowChannelConfig {
   /// the same bank-parallelism from a single masked RowClone that a PnM
   /// sender needs this many threads (and PEIs) to approximate — the §4.2
   /// "less computational resources" contrast, measurable in
-  /// bench_ablation_sweep.
+  /// `impact run ablation_sweep`.
   std::uint32_t sender_threads = 1;
   /// Receiver threads: batch probes distributed the same way (each thread
   /// owns its own timer; decode happens after the join). The receiver is
@@ -114,7 +114,8 @@ class RowBufferChannelBase : public channel::CovertAttack {
   // PeiDispatcher::execute_batch) override these. The defaults fall back
   // to the scalar hooks, so every subclass stays correct unmodified. An
   // override MUST advance `clock` and produce latencies bit-identically
-  // to the equivalent scalar loop — tests/test_access_batch.cpp pins this.
+  // to the equivalent scalar loop; PeiTest.ExecuteBatchMatchesScalarLoop
+  // (tests/test_pim.cpp) pins the PnM kernel against it.
 
   /// Sender-side run: transmits bits[k] into banks[k] for k in [0, count).
   virtual void send_run(const std::uint32_t* banks, const std::uint8_t* bits,

@@ -7,7 +7,7 @@
 // k during slot k and the receiver probes mid-slot. No semaphores, no
 // fences — the slot length is the only rate limit, but slots shorter than
 // the probe path overrun and the channel degrades, which is the trade-off
-// bench_ablation_sweep measures.
+// `impact run ablation_sweep` measures.
 #pragma once
 
 #include <vector>

@@ -36,7 +36,8 @@ class ImpactPnm final : public RowBufferChannelBase {
   double probe(std::uint32_t bank, util::Cycle& clock) override;
 
   // Batched kernels over PeiDispatcher::execute_batch; bit-identical to
-  // the scalar hooks (pinned by tests/test_access_batch.cpp).
+  // the scalar hooks (PeiTest.ExecuteBatchMatchesScalarLoop in
+  // tests/test_pim.cpp pins execute_batch against the scalar loop).
   void send_run(const std::uint32_t* banks, const std::uint8_t* bits,
                 std::size_t count, util::Cycle& clock) override;
   void probe_run(const std::uint32_t* banks, std::size_t count,

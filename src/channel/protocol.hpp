@@ -16,7 +16,7 @@
 //
 // The result reports effective goodput, retransmission and recalibration
 // counts, and residual BER — making the coding-vs-protocol tradeoff a
-// measured ablation (bench_ablation_faults, docs/robustness.md).
+// measured ablation (`impact run ablation_faults`, docs/robustness.md).
 #pragma once
 
 #include <cstddef>

@@ -107,12 +107,6 @@ class Bank {
   [[nodiscard]] RowPolicy policy() const { return policy_; }
   void set_policy(RowPolicy p) { policy_ = p; }
 
-  /// True when a command observer is attached. The batch kernel hoists
-  /// this test out of its per-segment loops (the per-command notify still
-  /// fires for every command when an observer is present — the protocol
-  /// checker must see the full stream).
-  [[nodiscard]] bool has_observer() const { return observer_ != nullptr; }
-
   /// Attaches a command observer (nullptr detaches). The bank does not know
   /// its own index in the controller, so the flat id to stamp on records is
   /// provided here.

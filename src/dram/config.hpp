@@ -46,7 +46,7 @@ enum class RowPolicy : std::uint8_t {
 /// the timeout only closes a row early to serve *waiting* requests
 /// (kContention, the default — an idle bank keeps its row open), and keep
 /// the strict idle-precharge semantics available for the ablation study
-/// (bench_ablation_timeout), where it indeed collapses the channel.
+/// (`impact run ablation_timeout`), where it indeed collapses the channel.
 enum class RowTimeoutMode : std::uint8_t {
   kContention,     ///< Timeout is a scheduling hint; idle rows stay open.
   kIdlePrecharge,  ///< Idle rows are force-precharged after the timeout.

@@ -129,103 +129,6 @@ AccessResult MemoryController::access_row(BankId bank, RowId row,
   return out;
 }
 
-void MemoryController::access_batch(AccessBatch& batch, ActorId actor) {
-  const std::size_t n = batch.size();
-  if (n == 0) return;
-  util::check(batch.issue.size() == n,
-              "MemoryController::access_batch: addr/issue size mismatch");
-  batch.bank.resize(n);
-  batch.row.resize(n);
-  batch.col.resize(n);
-  batch.latency.resize(n);
-  batch.completion.resize(n);
-  batch.ack.resize(n);
-  batch.outcome.resize(n);
-
-  // Decode pass: one pure AddressMapping::decode per request, SoA out.
-  for (std::size_t i = 0; i < n; ++i) {
-    const DramAddress loc = mapping_.decode(batch.addr[i]);
-    util::check(loc.bank < banks_.size(),
-                "MemoryController: bank out of range");
-    batch.bank[i] = loc.bank;
-    batch.row[i] = loc.row;
-    batch.col[i] = loc.col;
-  }
-
-  // Partition seam, hoisted: the unpartitioned configuration (every bench
-  // and covert-channel run) pays one flag test per batch instead of one
-  // per request. The partitioned loop walks index order, so the fault
-  // counter and the first-violation abort match the scalar sequence.
-  if (partitioned_) {
-    for (std::size_t i = 0; i < n; ++i) {
-      util::check(!partition_rejects(batch.bank[i], actor),
-                  "MemoryController: bank partition violation");
-    }
-  }
-
-  if (faults_ != nullptr) {
-    // Fault seam, hoisted to one guard per batch; with an injector
-    // attached the requests run in index order so the per-kind RNG
-    // streams draw exactly as the scalar path would.
-    for (std::size_t i = 0; i < n; ++i) {
-      const util::Cycle issued = batch.issue[i];
-      const util::Cycle at_bank = issued + issue_overhead_;
-      Bank& b = banks_[batch.bank[i]];
-      if (faults_->refresh_storm(at_bank)) b.precharge(at_bank);
-      const BankAccessResult r = b.access(batch.row[i], at_bank);
-      const util::Cycle jitter = faults_->access_jitter(at_bank);
-      batch.outcome[i] = r.outcome;
-      batch.completion[i] = r.completion + jitter;
-      batch.ack[i] = r.ack + jitter;
-      batch.latency[i] = (r.completion - issued) + jitter;
-    }
-    return;
-  }
-
-  // Group requests into per-bank segments (stable counting sort into the
-  // batch-owned scratch, so steady state allocates nothing). Per-bank
-  // processing is bit-identical to global index order: bank state
-  // machines are independent, and every observer invariant is per-bank.
-  const std::size_t nb = banks_.size();
-  batch.group_start.assign(nb, 0);
-  for (std::size_t i = 0; i < n; ++i) ++batch.group_start[batch.bank[i]];
-  std::uint32_t run = 0;
-  for (std::size_t b = 0; b < nb; ++b) {
-    const std::uint32_t count = batch.group_start[b];
-    batch.group_start[b] = run;
-    run += count;
-  }
-  batch.group_order.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    batch.group_order[batch.group_start[batch.bank[i]]++] =
-        static_cast<std::uint32_t>(i);
-  }
-  // After the scatter, group_start[b] is the END of bank b's segment.
-
-  std::uint32_t seg_begin = 0;
-  for (std::size_t b = 0; b < nb; ++b) {
-    const std::uint32_t seg_end = batch.group_start[b];
-    if (seg_end == seg_begin) continue;
-    Bank& bk = banks_[b];
-    // Observer seam: one guarded check per segment. When attached, every
-    // command in the segment is still delivered in request order (the
-    // protocol checker validates the full stream); detached segments pay
-    // exactly this one branch.
-    (void)bk.has_observer();
-    for (std::uint32_t k = seg_begin; k < seg_end; ++k) {
-      const std::uint32_t i = batch.group_order[k];
-      const util::Cycle issued = batch.issue[i];
-      const BankAccessResult r =
-          bk.access(batch.row[i], issued + issue_overhead_);
-      batch.outcome[i] = r.outcome;
-      batch.completion[i] = r.completion;
-      batch.ack[i] = r.ack;
-      batch.latency[i] = r.completion - issued;
-    }
-    seg_begin = seg_end;
-  }
-}
-
 void MemoryController::rowclone_into(std::span<const RowCloneLeg> legs,
                                      util::Cycle now, bool atomic,
                                      ActorId actor, RowCloneResult& out) {

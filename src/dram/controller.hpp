@@ -15,7 +15,6 @@
 #include <span>
 #include <vector>
 
-#include "dram/access_batch.hpp"
 #include "dram/address_mapping.hpp"
 #include "dram/bank.hpp"
 #include "dram/config.hpp"
@@ -90,23 +89,6 @@ class MemoryController {
   /// Performs a normal read/write-class access at `now`.
   AccessResult access(PhysAddr addr, util::Cycle now,
                       ActorId actor = kAnyActor);
-
-  /// Batched access kernel: resolves every request in `batch` (its `addr`
-  /// and `issue` arrays) and fills the decoded and result arrays. Each
-  /// request is bit-identical to `access(addr[i], issue[i], actor)` issued
-  /// in index order — the batch form only changes *how* that answer is
-  /// computed: addresses are decoded in one tight loop, the partition and
-  /// fault seam guards are evaluated once per batch instead of once per
-  /// request, and (when no fault injector is attached) requests are
-  /// grouped into per-bank segments processed with the bank state held
-  /// hot. Per-bank grouping is sound because bank state machines are
-  /// independent and every observer invariant (protocol checker state,
-  /// DramTap counters) is per-bank; with a fault injector attached the
-  /// kernel processes requests in index order so the injector's per-kind
-  /// RNG streams draw in exactly the scalar sequence. When an observer is
-  /// attached, every command is still delivered (per bank, in request
-  /// order) — only the null guard is hoisted.
-  void access_batch(AccessBatch& batch, ActorId actor = kAnyActor);
 
   /// Direct bank/row access (used by PiM units that address banks natively).
   AccessResult access_row(BankId bank, RowId row, util::Cycle now,

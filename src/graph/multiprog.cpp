@@ -4,10 +4,9 @@
 #include <bit>
 #include <limits>
 #include <memory>
-#include <optional>
-#include <stdexcept>
 #include <string>
 #include <utility>
+#include <vector>
 
 // SIMLINT-ALLOW(layering): the front end records on a thread pool.
 #include "exec/thread_pool.hpp"
@@ -404,67 +403,6 @@ RunStats run_multiprogrammed(const MultiprogConfig& config,
 RunStats run_multiprogrammed(const MultiprogConfig& config,
                              WorkloadKind kind, dram::RowPolicy policy) {
   return run_multiprogrammed(config, build_input(config, kind), policy);
-}
-
-DefenseOverheads evaluate_defenses(const MultiprogConfig& config,
-                                   WorkloadKind kind,
-                                   exec::ThreadPool* pool) {
-  const WorkloadInput input = build_input(config, kind);
-  DefenseOverheads out;
-  out.kind = kind;
-
-  constexpr dram::RowPolicy kPolicies[] = {dram::RowPolicy::kOpenRow,
-                                           dram::RowPolicy::kClosedRow,
-                                           dram::RowPolicy::kConstantTime};
-  RunStats DefenseOverheads::* const kSlots[] = {
-      &DefenseOverheads::open_row, &DefenseOverheads::closed_row,
-      &DefenseOverheads::constant_time};
-  const std::vector<RunStats> cells = exec::parallel_map<RunStats>(
-      pool, 3, [&](std::size_t i) {
-        return run_multiprogrammed(config, input, kPolicies[i]);
-      });
-  for (std::size_t i = 0; i < 3; ++i) out.*kSlots[i] = cells[i];
-  return out;
-}
-
-std::vector<DefenseOverheads> evaluate_defense_matrix(
-    const MultiprogConfig& config, std::span<const WorkloadKind> kinds,
-    exec::ThreadPool* pool) {
-  std::vector<DefenseOverheads> out(kinds.size());
-  // One slot per workload, emplaced by its build task; dependents read it
-  // through the sweep's build->run edges (which give the happens-before).
-  std::vector<std::optional<WorkloadInput>> inputs(kinds.size());
-
-  constexpr dram::RowPolicy kPolicies[] = {dram::RowPolicy::kOpenRow,
-                                           dram::RowPolicy::kClosedRow,
-                                           dram::RowPolicy::kConstantTime};
-  RunStats DefenseOverheads::* const kSlots[] = {
-      &DefenseOverheads::open_row, &DefenseOverheads::closed_row,
-      &DefenseOverheads::constant_time};
-
-  // Task graph: each workload's input build feeds its three policy cells,
-  // so cheap cells of one workload overlap the build of the next.
-  exec::Sweep sweep(pool);
-  for (std::size_t w = 0; w < kinds.size(); ++w) {
-    out[w].kind = kinds[w];
-    const exec::Sweep::TaskId build = sweep.add(
-        "input:" + std::string(to_string(kinds[w])),
-        // Sweep::run() returns before the enclosing scope unwinds, so
-        // reference captures of the local grids are safe.
-        [&, w] { inputs[w].emplace(build_input(config, kinds[w])); });
-    for (std::size_t p = 0; p < 3; ++p) {
-      sweep.add("run:" + std::string(to_string(kinds[w])) + ":" +
-                    to_string(kPolicies[p]),
-                [&, w, p] {
-                  out[w].*kSlots[p] =
-                      run_multiprogrammed(config, *inputs[w], kPolicies[p]);
-                },
-                {build});
-    }
-  }
-  const exec::RunReport report = sweep.run();
-  if (!report.ok()) throw std::runtime_error(report.summary());
-  return out;
 }
 
 }  // namespace impact::graph

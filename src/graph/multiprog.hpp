@@ -11,15 +11,8 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <span>
-#include <string>
-#include <vector>
 
 #include "dram/config.hpp"
-// Graph drivers consume the sweep engine as a library; exec never
-// includes graph, so the DAG stays acyclic.
-// SIMLINT-ALLOW(layering): sweep engine consumed as a library.
-#include "exec/sweep.hpp"
 #include "graph/graph.hpp"
 #include "graph/workload.hpp"
 #include "sys/system.hpp"
@@ -59,35 +52,6 @@ struct RunStats {
   /// Exact (bitwise for row_hit_rate) equality: the determinism tests pin
   /// parallel sweeps to the serial results with no tolerance.
   friend bool operator==(const RunStats&, const RunStats&) = default;
-};
-
-/// One Fig. 11 bar group: a workload's overheads relative to open-row.
-struct DefenseOverheads {
-  WorkloadKind kind = WorkloadKind::kBFS;
-  RunStats open_row;
-  RunStats closed_row;
-  RunStats constant_time;
-
-  /// Baseline-relative overheads; 0 when the baseline has not run (or ran
-  /// an empty trace), so a partially-filled matrix cell never divides by
-  /// zero.
-  [[nodiscard]] double crp_overhead() const {
-    return open_row.cycles == 0
-               ? 0.0
-               : static_cast<double>(closed_row.cycles) /
-                         static_cast<double>(open_row.cycles) -
-                     1.0;
-  }
-  [[nodiscard]] double ctd_overhead() const {
-    return open_row.cycles == 0
-               ? 0.0
-               : static_cast<double>(constant_time.cycles) /
-                         static_cast<double>(open_row.cycles) -
-                     1.0;
-  }
-
-  friend bool operator==(const DefenseOverheads&,
-                         const DefenseOverheads&) = default;
 };
 
 /// The row-policy-independent half of a multiprogrammed run: both
@@ -159,21 +123,5 @@ struct WorkloadInput {
 [[nodiscard]] RunStats run_multiprogrammed(const MultiprogConfig& config,
                                            WorkloadKind kind,
                                            dram::RowPolicy policy);
-
-/// Runs the full Fig. 11 matrix for one workload (all three policies),
-/// fanning the per-policy cells out over `pool` when provided. Results are
-/// bit-identical to the serial path for any pool size.
-[[nodiscard]] DefenseOverheads evaluate_defenses(
-    const MultiprogConfig& config, WorkloadKind kind,
-    exec::ThreadPool* pool = nullptr);
-
-/// The whole Fig. 11 grid: one input-build task per workload feeding three
-/// per-policy run tasks, scheduled as a Sweep task graph over `pool`
-/// (serial in insertion order when `pool` is null). Output order follows
-/// `kinds`; cell values are schedule-independent. Throws
-/// std::runtime_error carrying the sweep summary when any cell fails.
-[[nodiscard]] std::vector<DefenseOverheads> evaluate_defense_matrix(
-    const MultiprogConfig& config, std::span<const WorkloadKind> kinds,
-    exec::ThreadPool* pool = nullptr);
 
 }  // namespace impact::graph

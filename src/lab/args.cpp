@@ -2,6 +2,7 @@
 
 #include <cstdlib>
 #include <string>
+#include <string_view>
 
 #include "lab/experiment.hpp"
 
@@ -70,8 +71,6 @@ bool parse_args(const ExperimentSpec& spec, int argc, const char* const* argv,
 
     if (flag == "--smoke" && !has_inline) {
       out.smoke = true;
-    } else if (flag == "--json" && !has_inline) {
-      out.json = true;
     } else if (flag == "--filter") {
       std::string_view value;
       if (!take_value(value)) return false;
@@ -115,13 +114,6 @@ bool parse_args(const ExperimentSpec& spec, int argc, const char* const* argv,
     }
   }
   return true;
-}
-
-bool has_flag(int argc, const char* const* argv, std::string_view flag) {
-  for (int i = 1; i < argc; ++i) {
-    if (flag == argv[i]) return true;
-  }
-  return false;
 }
 
 }  // namespace impact::lab

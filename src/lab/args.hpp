@@ -1,10 +1,5 @@
-// The shared command-line vocabulary of every experiment driver.
-//
-// Before the lab layer existed, each bench_*/examples/* binary hand-rolled
-// its own argv loop (bench_sweep_scaling and bench_store both carried the
-// same strcmp(argv[i], "--smoke") copy; genome_spy atoi'd a positional;
-// quickstart scanned for --trace). Args is that loop written once: the
-// four common flags every driver understands (--smoke, --json, --filter,
+// The shared command-line vocabulary of `impact run <name> ...`: the
+// three common flags every experiment understands (--smoke, --filter,
 // --threads), declared-parameter overrides (--param k=v or --<name> v for
 // any parameter the experiment's spec declares), positional binding, and
 // an opt-in passthrough lane for specs that wrap an external harness with
@@ -13,7 +8,6 @@
 
 #include <map>
 #include <string>
-#include <string_view>
 #include <vector>
 
 namespace impact::lab {
@@ -24,11 +18,8 @@ struct ExperimentSpec;
 /// resolution against the spec's declared defaults happens in
 /// lab::Context.
 struct Args {
-  /// Reduced-scale run (CI-friendly): the flag formerly duplicated
-  /// across the bench drivers.
+  /// Reduced-scale run (CI-friendly).
   bool smoke = false;
-  /// Machine-readable output where a command offers it (`impact list`).
-  bool json = false;
   /// Substring/benchmark filter (`impact list --filter fig`, forwarded
   /// as --benchmark_filter by the microbench spec).
   std::string filter;
@@ -45,17 +36,12 @@ struct Args {
 /// Parses `argv[1..argc)` against `spec`. Returns false and fills
 /// `error` on the first unknown flag, missing value, undeclared
 /// parameter, or surplus positional argument. Accepted forms:
-///   --smoke --json --filter V|--filter=V --threads N|--threads=N
+///   --smoke --filter V|--filter=V --threads N|--threads=N
 ///   --param k=v|--param=k=v       (k must be declared by the spec)
 ///   --<name> V|--<name>=V         (any declared parameter name)
 ///   bare words                    (bound to spec.positional in order)
 [[nodiscard]] bool parse_args(const ExperimentSpec& spec, int argc,
                               const char* const* argv, Args& out,
                               std::string& error);
-
-/// The old hand-rolled loop, as a one-liner for code that only needs one
-/// flag and has no spec to parse against.
-[[nodiscard]] bool has_flag(int argc, const char* const* argv,
-                            std::string_view flag);
 
 }  // namespace impact::lab

@@ -37,7 +37,6 @@ void register_builtin(Registry& r) {
   // Walkthrough examples.
   register_quickstart(r);
   register_covert_channel_comparison(r);
-  register_defense_tradeoffs(r);
   register_genome_spy(r);
   register_keystroke_spy(r);
   register_rowclone_bulk_copy(r);

@@ -73,10 +73,10 @@ int cmd_list(const Registry& registry, int argc, const char* const* argv) {
       continue;
     }
     if (json) {
-      std::printf("%s{\"name\":\"%s\",\"kind\":\"%s\",\"binary\":\"%s\","
+      std::printf("%s{\"name\":\"%s\",\"kind\":\"%s\","
                   "\"bench_role\":\"%s\",\"description\":\"%s\"}",
                   first ? "" : ",", json_escape(spec->name).c_str(),
-                  kind_name(spec->kind), json_escape(spec->binary).c_str(),
+                  kind_name(spec->kind),
                   json_escape(spec->bench_role).c_str(),
                   json_escape(spec->description).c_str());
     } else {
@@ -93,7 +93,6 @@ int cmd_describe(const Registry& registry, const ExperimentSpec& spec) {
   (void)registry;
   std::printf("name:        %s\n", spec.name.c_str());
   std::printf("kind:        %s\n", kind_name(spec.kind));
-  std::printf("binary:      %s (pre-registry)\n", spec.binary.c_str());
   std::printf("description: %s\n", spec.description.c_str());
   if (spec.cell_count) {
     Context full(spec, Args{});
@@ -125,18 +124,6 @@ void print_usage() {
 }
 
 }  // namespace
-
-int run_named(std::string_view name, int argc, const char* const* argv) {
-  Registry registry;
-  register_builtin(registry);
-  const ExperimentSpec* spec = registry.find(name);
-  if (spec == nullptr) {
-    std::fprintf(stderr, "unknown experiment '%.*s'\n",
-                 static_cast<int>(name.size()), name.data());
-    return 2;
-  }
-  return run_spec(*spec, argc, argv);
-}
 
 int impact_main(int argc, const char* const* argv) {
   Registry registry;

@@ -1,21 +1,13 @@
-// Driver: the one shared front end for every experiment.
+// Driver: the one front end for every experiment.
 //
-// Two entry points, one execution path. run_named() is what each former
-// driver binary's main() shrinks to — look the spec up in the built-in
-// registry, parse argv against its schema, wire a Context, run it.
-// impact_main() is the `impact` multiplexer the future job server will
-// speak to: `impact list [--json] [--filter S]`, `impact describe
-// <name>`, `impact run <name> [--smoke] [--param k=v] ...` — the whole
-// evaluation matrix runnable from a single process.
+// impact_main() is the `impact` multiplexer: `impact list [--json]
+// [--filter S]`, `impact describe <name>`, `impact run <name> [--smoke]
+// [--param k=v] ...` — look the spec up in the built-in registry, parse
+// argv against its schema, wire a Context, run it. The whole evaluation
+// matrix is runnable from this single process.
 #pragma once
 
-#include <string_view>
-
 namespace impact::lab {
-
-/// Runs the built-in experiment `name` with the binary's argv. The body
-/// of every thin bench_*/examples shim.
-int run_named(std::string_view name, int argc, const char* const* argv);
 
 /// The `impact` multiplexer entry point.
 int impact_main(int argc, const char* const* argv);

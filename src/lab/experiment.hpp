@@ -2,12 +2,10 @@
 //
 // The source paper's evaluation is a matrix of named artifacts — Fig. 2
 // through Fig. 11, Table 1, the ablations, the walkthrough examples.
-// Pre-refactor, each artifact was a standalone binary whose identity
-// lived in CMake and whose parameters lived in hardcoded locals. A spec
-// lifts that identity into data: the name, the parameter schema with
-// defaults, how many sweep cells a run enumerates, and the run body
-// itself. The registry (registry.hpp) maps names to specs; the driver
-// (driver.hpp) is the single front end that executes any of them.
+// A spec holds an artifact's identity as data: the name, the parameter
+// schema with defaults, how many sweep cells a run enumerates, and the
+// run body itself. The registry (registry.hpp) maps names to specs; the
+// driver (driver.hpp) is the single front end that executes any of them.
 #pragma once
 
 #include <cstddef>
@@ -26,7 +24,7 @@ enum class Kind {
   kTable,      ///< reproduces a numbered paper table
   kAblation,   ///< sensitivity study beyond the paper's figures
   kExtension,  ///< post-paper extension experiment
-  kExample,    ///< narrative walkthrough (former examples/ binary)
+  kExample,    ///< narrative walkthrough
   kPerf,       ///< harness performance benchmark, not a paper artifact
 };
 
@@ -46,9 +44,6 @@ struct ParamSpec {
 struct ExperimentSpec {
   /// Registry key, e.g. "fig11" or "quickstart".
   std::string name;
-  /// The pre-refactor binary this spec replaces, e.g. "bench_fig11".
-  /// Kept so `impact list` and EXPERIMENTS.md can map old names.
-  std::string binary;
   /// One-line summary shown by `impact list`.
   std::string description;
   Kind kind = Kind::kFigure;
@@ -70,8 +65,7 @@ struct ExperimentSpec {
   /// cell-count pins in test_lab. Zero means "not cell-structured".
   std::function<std::size_t(const Context&)> cell_count;
   /// The experiment body. Receives the fully wired Context (pool,
-  /// cache, parameter resolution) and returns a process exit
-  /// code. Must write the same bytes to stdout the old binary wrote.
+  /// cache, parameter resolution) and returns a process exit code.
   std::function<int(Context&)> run;
 };
 

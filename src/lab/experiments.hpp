@@ -1,9 +1,9 @@
-// The built-in experiment catalogue: one register function per former
-// driver binary (20 bench_* + 6 examples/*), each installing its spec
-// into a lab::Registry. register_builtin() (registry.hpp) calls all of
-// them. The pure renderers the golden byte-identity tests pin are also
-// declared here — they take already-computed grid results, so a test can
-// feed a synthetic grid and compare bytes without simulating.
+// The built-in experiment catalogue: one register function per
+// experiment, each installing its spec into a lab::Registry.
+// register_builtin() (registry.hpp) calls all of them. The pure
+// renderers the golden byte-identity tests pin are also declared here —
+// they take already-computed grid results, so a test can feed a
+// synthetic grid and compare bytes without simulating.
 #pragma once
 
 #include <string>
@@ -45,7 +45,6 @@ void register_simulator_perf(Registry& r);
 // Walkthrough examples.
 void register_quickstart(Registry& r);
 void register_covert_channel_comparison(Registry& r);
-void register_defense_tradeoffs(Registry& r);
 void register_genome_spy(Registry& r);
 void register_keystroke_spy(Registry& r);
 void register_rowclone_bulk_copy(Registry& r);

@@ -51,7 +51,6 @@ int run_ablation_camouflage(Context&) {
 void register_ablation_camouflage(Registry& r) {
   ExperimentSpec spec;
   spec.name = "ablation_camouflage";
-  spec.binary = "bench_ablation_camouflage";
   spec.description =
       "Victim-side dummy-probe obfuscation vs the read-mapping side "
       "channel: privacy/performance frontier";

@@ -86,7 +86,7 @@ int run_ablation_faults(Context& ctx) {
         fault::Injector injector(90210, faults);
         system.set_fault_injector(&injector);
 
-        // Seed pinned: stream shared with bench_ablation_noise;
+        // Seed pinned: stream shared with ablation_noise;
         // EXPERIMENTS.md records 4/13 residuals.
         // SIMLINT-ALLOW(nondet-seed): recorded outputs depend on stream.
         util::Xoshiro256 rng(51);
@@ -152,7 +152,6 @@ std::string render_ablation_faults(
 void register_ablation_faults(Registry& r) {
   ExperimentSpec spec;
   spec.name = "ablation_faults";
-  spec.binary = "bench_ablation_faults";
   spec.description =
       "Recovery strategies (coded / framed / framed+coded) under scaled "
       "fault injection";

@@ -72,7 +72,6 @@ int run_ablation_noise(Context&) {
 void register_ablation_noise(Registry& r) {
   ExperimentSpec spec;
   spec.name = "ablation_noise";
-  spec.binary = "bench_ablation_noise";
   spec.description =
       "IMPACT-PnM under Poisson background load: raw error vs "
       "repetition/Hamming coding trade-offs";

@@ -264,7 +264,6 @@ int run_ablation_sweep(Context& ctx) {
 void register_ablation_sweep(Registry& r) {
   ExperimentSpec spec;
   spec.name = "ablation_sweep";
-  spec.binary = "bench_ablation_sweep";
   spec.description =
       "IMPACT design-space ablations: PnM batch size, signalling banks, "
       "mapping scheme, sender threads, async slots";

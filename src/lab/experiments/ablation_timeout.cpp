@@ -98,7 +98,6 @@ int run_ablation_timeout(Context&) {
 void register_ablation_timeout(Registry& r) {
   ExperimentSpec spec;
   spec.name = "ablation_timeout";
-  spec.binary = "bench_ablation_timeout";
   spec.description =
       "Idle-precharge row-timeout ablation: covert-channel collapse and "
       "its performance price";

@@ -76,7 +76,6 @@ int run_completion_attack(Context&) {
 void register_completion_attack(Registry& r) {
   ExperimentSpec spec;
   spec.name = "completion_attack";
-  spec.binary = "bench_completion_attack";
   spec.description =
       "End-to-end completion attack: timed PEI observations voted into "
       "genome loci across bank counts";

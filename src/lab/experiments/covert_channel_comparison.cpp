@@ -34,7 +34,6 @@ int run_covert_channel_comparison(Context&) {
 void register_covert_channel_comparison(Registry& r) {
   ExperimentSpec spec;
   spec.name = "covert_channel_comparison";
-  spec.binary = "covert_channel_comparison";
   spec.description =
       "Every Fig. 8 covert channel side by side, plus the analytical "
       "Streamline model";

@@ -108,7 +108,6 @@ int run_fig10(Context& ctx) {
 void register_fig10(Registry& r) {
   ExperimentSpec spec;
   spec.name = "fig10";
-  spec.binary = "bench_fig10";
   spec.description =
       "Read-mapping side channel vs DRAM bank count (1024-8192): leakage "
       "throughput and error rate";

@@ -138,7 +138,6 @@ std::string render_fig11(const store::CellRunner::MatrixResult& grid) {
 void register_fig11(Registry& r) {
   ExperimentSpec spec;
   spec.name = "fig11";
-  spec.binary = "bench_fig11";
   spec.description =
       "Defense overheads: CRP / CTD / adaptive vs open-row baseline on "
       "five multiprogrammed graph workloads";

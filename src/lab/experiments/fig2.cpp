@@ -92,7 +92,6 @@ int run_fig2(Context&) {
 void register_fig2(Registry& r) {
   ExperimentSpec spec;
   spec.name = "fig2";
-  spec.binary = "bench_fig2";
   spec.description =
       "LLC size sweep: covert-channel throughput and eviction latency "
       "(16-way, 2-64 MB)";

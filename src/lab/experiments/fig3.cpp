@@ -72,7 +72,6 @@ int run_fig3(Context&) {
 void register_fig3(Registry& r) {
   ExperimentSpec spec;
   spec.name = "fig3";
-  spec.binary = "bench_fig3";
   spec.description =
       "LLC associativity sweep: covert-channel throughput and eviction "
       "latency (16 MB, 2-128 ways)";

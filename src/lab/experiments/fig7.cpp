@@ -65,7 +65,6 @@ int run_fig7(Context&) {
 void register_fig7(Registry& r) {
   ExperimentSpec spec;
   spec.name = "fig7";
-  spec.binary = "bench_fig7";
   spec.description =
       "PoC receiver-latency validation: IMPACT-PnM and IMPACT-PuM decode a "
       "16-bit message";

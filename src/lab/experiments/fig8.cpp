@@ -100,7 +100,6 @@ int run_fig8(Context&) {
 void register_fig8(Registry& r) {
   ExperimentSpec spec;
   spec.name = "fig8";
-  spec.binary = "bench_fig8";
   spec.description =
       "Throughput of all seven comparison attacks across LLC sizes "
       "(2-64 MB), plus the Streamline model bound";

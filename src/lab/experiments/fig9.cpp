@@ -67,7 +67,6 @@ int run_fig9(Context&) {
 void register_fig9(Registry& r) {
   ExperimentSpec spec;
   spec.name = "fig9";
-  spec.binary = "bench_fig9";
   spec.description =
       "Sender/receiver cycle breakdown of a 16-bit transmission for "
       "IMPACT-PnM and IMPACT-PuM";

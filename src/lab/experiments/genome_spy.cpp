@@ -53,7 +53,6 @@ int run_genome_spy(Context& ctx) {
 void register_genome_spy(Registry& r) {
   ExperimentSpec spec;
   spec.name = "genome_spy";
-  spec.binary = "genome_spy";
   spec.description =
       "Read-mapping side channel (Fig. 10 setting): bank-sweep probes "
       "against a genomics victim";

@@ -145,7 +145,6 @@ int run_keystroke_spy(Context&) {
 void register_keystroke_spy(Registry& r) {
   ExperimentSpec spec;
   spec.name = "keystroke_spy";
-  spec.binary = "keystroke_spy";
   spec.description =
       "DRAMA-style keystroke timing side channel rebuilt on timed PEI "
       "probes";

@@ -69,7 +69,6 @@ int run_mpr_utilization(Context&) {
 void register_mpr_utilization(Registry& r) {
   ExperimentSpec spec;
   spec.name = "mpr_utilization";
-  spec.binary = "bench_mpr_utilization";
   spec.description =
       "MPR bank-partitioning cost model: admission limits, stranded "
       "capacity, shared-data duplication";

@@ -87,7 +87,6 @@ int run_quickstart(Context& ctx) {
 void register_quickstart(Registry& r) {
   ExperimentSpec spec;
   spec.name = "quickstart";
-  spec.binary = "quickstart";
   spec.description =
       "Both IMPACT covert channels on the Table 2 system: transmit, obs "
       "snapshot, optional Chrome trace";

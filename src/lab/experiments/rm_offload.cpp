@@ -104,7 +104,6 @@ int run_rm_offload(Context&) {
 void register_rm_offload(Registry& r) {
   ExperimentSpec spec;
   spec.name = "rm_offload";
-  spec.binary = "bench_rm_offload";
   spec.description =
       "Read-mapping seeding offload comparison: PEI path vs CPU cached "
       "path, cycles per read";

@@ -87,7 +87,6 @@ int run_rowbuffer(Context&) {
 void register_rowbuffer(Registry& r) {
   ExperimentSpec spec;
   spec.name = "rowbuffer";
-  spec.binary = "bench_rowbuffer";
   spec.description =
       "Row-buffer timing channel microbenchmark: hit/empty/conflict "
       "latencies and user-space histogram";

@@ -90,7 +90,6 @@ int run_rowclone_bulk_copy(Context&) {
 void register_rowclone_bulk_copy(Registry& r) {
   ExperimentSpec spec;
   spec.name = "rowclone_bulk_copy";
-  spec.binary = "rowclone_bulk_copy";
   spec.description =
       "RowClone as a benign bulk-copy accelerator vs the CPU copy path";
   spec.kind = Kind::kExample;

@@ -18,7 +18,6 @@
 #include "cache/cache.hpp"
 #include "channel/protocol.hpp"
 #include "cache/hierarchy.hpp"
-#include "dram/access_batch.hpp"
 #include "dram/controller.hpp"
 #include "exec/sweep.hpp"
 #include "graph/multiprog.hpp"
@@ -137,31 +136,6 @@ void BM_ProtocolTransmit(benchmark::State& state) {
       static_cast<std::int64_t>(state.iterations() * 16));
 }
 BENCHMARK(BM_ProtocolTransmit);
-
-void BM_AccessBatch(benchmark::State& state) {
-  // The SoA batch kernel over random streams: items are individual DRAM
-  // accesses, so items/s is directly comparable to BM_DramAccess — the
-  // gap is the amortized per-access dispatch overhead.
-  constexpr std::size_t kBatch = 256;
-  dram::DramConfig config;
-  dram::MemoryController mc(config);
-  util::Xoshiro256 rng(exec::derive_seed(kSeedBase, 8));
-  dram::AccessBatch batch;
-  batch.reserve(kBatch);
-  util::Cycle clock = 0;
-  for (auto _ : state) {
-    batch.clear();
-    for (std::size_t i = 0; i < kBatch; ++i) {
-      batch.push(rng.below(config.capacity_bytes()), clock);
-      clock += 100;
-    }
-    mc.access_batch(batch);
-    benchmark::DoNotOptimize(batch.latency.data());
-  }
-  state.SetItemsProcessed(
-      static_cast<std::int64_t>(state.iterations() * kBatch));
-}
-BENCHMARK(BM_AccessBatch);
 
 void BM_MultiprogReplay(benchmark::State& state) {
   // One Fig. 11 bar group: the default (fig11) configuration's BFS input
@@ -335,7 +309,6 @@ int run_simulator_perf(Context& ctx) {
 void register_simulator_perf(Registry& r) {
   ExperimentSpec spec;
   spec.name = "simulator_perf";
-  spec.binary = "bench_simulator_perf";
   spec.description =
       "Google-benchmark microbenchmarks of the simulation substrate "
       "(DRAM, caches, PEI, channels)";

@@ -165,7 +165,6 @@ int run_store(Context& ctx) {
 void register_store(Registry& r) {
   ExperimentSpec spec;
   spec.name = "store";
-  spec.binary = "bench_store";
   spec.description =
       "Result-cache effectiveness on the Fig. 11 grid: cold vs warm, "
       "serial and across thread pools";

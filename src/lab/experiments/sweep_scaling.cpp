@@ -1,6 +1,9 @@
 // Wall-clock scaling of the sweep engine on the Fig. 11 defense matrix:
-// the same grid evaluated serially and through a ThreadPool, with the
-// per-cell results checked bit-for-bit against the serial reference.
+// the same grid evaluated serially and through a ThreadPool by
+// store::CellRunner, with the per-cell RunStats checked bit-for-bit
+// against the serial reference. Both phases run cold: each gets a
+// disabled ResultCache and a fresh WorkloadStore, so every cell simulates
+// and every input is built.
 //
 //   $ impact run sweep_scaling             # full Fig. 11 scale
 //   $ impact run sweep_scaling --smoke     # reduced scale (CI-friendly)
@@ -20,9 +23,7 @@
 #include <iterator>
 #include <string>
 #include <thread>
-#include <vector>
 
-#include "exec/sweep.hpp"
 #include "graph/multiprog.hpp"
 #include "lab/context.hpp"
 #include "lab/experiments.hpp"
@@ -53,6 +54,32 @@ std::chrono::steady_clock::time_point now() {
   return std::chrono::steady_clock::now();
 }
 
+constexpr dram::RowPolicy kScalingPolicies[] = {
+    dram::RowPolicy::kOpenRow, dram::RowPolicy::kClosedRow,
+    dram::RowPolicy::kConstantTime};
+
+/// One cold evaluation of the grid on `pool` (null = serial).
+store::CellRunner::MatrixResult cold_grid(const graph::MultiprogConfig& config,
+                                          exec::ThreadPool* pool) {
+  store::ResultCache::Options options;
+  options.enabled = false;
+  store::ResultCache cache(options);
+  store::WorkloadStore workloads;
+  store::CellRunner runner(cache, workloads, pool);
+  return runner.defense_matrix(config, graph::kAllWorkloads,
+                               kScalingPolicies);
+}
+
+bool same_stats(const store::CellRunner::MatrixResult& a,
+                const store::CellRunner::MatrixResult& b) {
+  for (std::size_t w = 0; w < a.cells.size(); ++w) {
+    for (std::size_t p = 0; p < a.cells[w].size(); ++p) {
+      if (!(a.cells[w][p].stats == b.cells[w][p].stats)) return false;
+    }
+  }
+  return true;
+}
+
 int run_sweep_scaling(Context& ctx) {
   const bool smoke = ctx.smoke();
 
@@ -67,26 +94,30 @@ int run_sweep_scaling(Context& ctx) {
 
   exec::ThreadPool& pool = ctx.pool();
   std::fprintf(stderr,
-               "bench_sweep_scaling: Fig. 11 matrix (%zu workloads x 3 "
+               "bench_sweep_scaling: Fig. 11 matrix (%zu workloads x %zu "
                "policies), %s scale, pool=%u thread(s), hw=%u core(s)\n",
-               std::size(graph::kAllWorkloads), smoke ? "smoke" : "full",
+               std::size(graph::kAllWorkloads), std::size(kScalingPolicies),
+               smoke ? "smoke" : "full",
                pool.size(), std::thread::hardware_concurrency());
 
   const auto t_serial = now();
   const double c_serial = cpu_seconds();
-  const auto serial =
-      graph::evaluate_defense_matrix(config, graph::kAllWorkloads, nullptr);
+  const auto serial = cold_grid(config, nullptr);
   const double serial_s = seconds_since(t_serial);
   const double serial_cpu_s = cpu_seconds() - c_serial;
 
   const auto t_parallel = now();
   const double c_parallel = cpu_seconds();
-  const auto parallel =
-      graph::evaluate_defense_matrix(config, graph::kAllWorkloads, &pool);
+  const auto parallel = cold_grid(config, &pool);
   const double parallel_s = seconds_since(t_parallel);
   const double parallel_cpu_s = cpu_seconds() - c_parallel;
 
-  const bool identical = serial == parallel;
+  if (!serial.ok() || !parallel.ok()) {
+    std::fprintf(stderr, "sweep failed: %s\n",
+                 (serial.ok() ? parallel : serial).report.summary().c_str());
+    return 1;
+  }
+  const bool identical = same_stats(serial, parallel);
   const double speedup = parallel_s > 0.0 ? serial_s / parallel_s : 0.0;
 
   // A wall-clock speedup is only a meaningful scaling claim when more than
@@ -124,14 +155,13 @@ int run_sweep_scaling(Context& ctx) {
 void register_sweep_scaling(Registry& r) {
   ExperimentSpec spec;
   spec.name = "sweep_scaling";
-  spec.binary = "bench_sweep_scaling";
   spec.description =
       "Sweep-engine wall-clock scaling on the Fig. 11 matrix: serial vs "
       "thread pool, results checked bit-identical";
   spec.kind = Kind::kPerf;
   spec.bench_role = "sweep_scaling";
   spec.cell_count = [](const Context&) {
-    return std::size(graph::kAllWorkloads) * 3;
+    return std::size(graph::kAllWorkloads) * std::size(kScalingPolicies);
   };
   spec.run = run_sweep_scaling;
   r.add(std::move(spec));

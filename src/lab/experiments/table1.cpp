@@ -181,7 +181,6 @@ int run_table1(Context& ctx) {
 void register_table1(Registry& r) {
   ExperimentSpec spec;
   spec.name = "table1";
-  spec.binary = "bench_table1";
   spec.description =
       "Attack-primitive comparison: measured cycles/activation and timing "
       "margin per primitive";

@@ -1,7 +1,7 @@
 // Registry: the named catalogue of every experiment the repo can run.
 //
-// One entry per former driver binary — every paper figure/table, every
-// ablation, every walkthrough example. The registry is an instance (no
+// One entry per experiment — every paper figure/table, every ablation,
+// every walkthrough example. The registry is an instance (no
 // static self-registration: the simlint global-state rule bans dynamic
 // initializers, and a static library would drop unreferenced
 // registration objects anyway); register_builtin() explicitly installs
@@ -39,7 +39,7 @@ class Registry {
   std::map<std::string, ExperimentSpec, std::less<>> specs_;
 };
 
-/// Installs every built-in experiment (the 26 former driver binaries).
+/// Installs every built-in experiment.
 void register_builtin(Registry& registry);
 
 }  // namespace impact::lab

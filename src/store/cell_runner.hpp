@@ -1,8 +1,8 @@
 // Shared cache-aware driver harness for experiment grids.
 //
-// Every heavy driver in bench/ and examples/ has the same skeleton: build
-// a (parameter x parameter) grid, run one simulation per cell on the
-// sweep engine, render rows from the results. CellRunner hoists that
+// Every heavy experiment in src/lab/experiments/ has the same skeleton:
+// build a (parameter x parameter) grid, run one simulation per cell on
+// the sweep engine, render rows from the results. CellRunner hoists that
 // skeleton once and makes it content-addressed: each cell carries a
 // store::Fingerprint over everything that determines its output, the
 // ResultCache is probed before a cell simulates, and completed cells are

@@ -1,13 +1,13 @@
 // Tests of the parallel experiment engine (src/exec/): thread-pool
 // behaviour (exception propagation, degenerate batches), seed derivation,
-// sweep dependency ordering, and — most importantly — the determinism
-// contract: parallel sweeps must be byte-identical to serial ones for any
-// pool size. Run under IMPACT_SANITIZE=thread by tools/check.sh.
+// sweep dependency ordering, error reporting and the cache hooks. The
+// determinism contract on a real grid (parallel Fig. 11 cells identical
+// to serial ones for any pool size) is pinned in tests/test_store.cpp.
+// Run under IMPACT_SANITIZE=thread by tools/check.sh.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
-#include <iterator>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -15,7 +15,6 @@
 
 #include "exec/sweep.hpp"
 #include "exec/thread_pool.hpp"
-#include "graph/multiprog.hpp"
 #include "obs/scope.hpp"
 
 namespace impact {
@@ -244,58 +243,6 @@ TEST(SweepCache, HitSatisfiesDependents) {
   EXPECT_TRUE(report.ok());
   EXPECT_TRUE(dependent_ran)
       << "a cache hit completes the task; dependents must proceed";
-}
-
-/// Reduced-scale Fig. 11 config: small enough that the whole grid runs in
-/// about a second per evaluation, big enough to exercise real runs.
-graph::MultiprogConfig tiny_config() {
-  graph::MultiprogConfig config;
-  config.rmat_scale = 10;
-  config.edge_count = 8192;
-  config.system.cache_scale = 2048;
-  return config;
-}
-
-TEST(Determinism, EvaluateDefensesMatchesAcrossPoolSizes) {
-  const auto config = tiny_config();
-  const auto kind = graph::WorkloadKind::kBFS;
-  const auto serial = graph::evaluate_defenses(config, kind, nullptr);
-  for (unsigned threads : {1u, 2u, 8u}) {
-    exec::ThreadPool pool(threads);
-    const auto parallel = graph::evaluate_defenses(config, kind, &pool);
-    EXPECT_EQ(serial, parallel) << threads << " thread(s)";
-  }
-}
-
-TEST(Determinism, DefenseMatrixMatchesAcrossPoolSizes) {
-  const auto config = tiny_config();
-  const auto serial =
-      graph::evaluate_defense_matrix(config, graph::kAllWorkloads, nullptr);
-  ASSERT_EQ(serial.size(), std::size(graph::kAllWorkloads));
-  for (unsigned threads : {1u, 2u, 8u}) {
-    exec::ThreadPool pool(threads);
-    const auto parallel =
-        graph::evaluate_defense_matrix(config, graph::kAllWorkloads, &pool);
-    EXPECT_EQ(serial, parallel) << threads << " thread(s)";
-  }
-}
-
-TEST(DefenseMatrix, FailedInputBuildThrowsTheSweepSummary) {
-  auto config = tiny_config();
-  config.rmat_scale = 0;  // Rejected by CsrGraph::rmat: every build fails.
-  for (unsigned threads : {0u, 2u}) {
-    exec::ThreadPool pool(threads == 0 ? 1 : threads);
-    try {
-      (void)graph::evaluate_defense_matrix(config, graph::kAllWorkloads,
-                                           threads == 0 ? nullptr : &pool);
-      ADD_FAILURE() << "expected a throw at " << threads << " thread(s)";
-    } catch (const std::runtime_error& e) {
-      const std::string what = e.what();
-      EXPECT_NE(what.find("0/20 tasks completed, 5 failed, 15 skipped"),
-                std::string::npos)
-          << what;
-    }
-  }
 }
 
 }  // namespace

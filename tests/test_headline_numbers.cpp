@@ -7,8 +7,8 @@
 
 #include "attacks/registry.hpp"
 #include "dram/config.hpp"
-#include "exec/sweep.hpp"
 #include "graph/multiprog.hpp"
+#include "store/cell_runner.hpp"
 
 namespace impact {
 namespace {
@@ -52,37 +52,56 @@ TEST(Headline, DramaClflushDeclineAndRatio) {
   EXPECT_GT(pnm / large, 3.5);
 }
 
-TEST(Headline, DefenseOverheadsViaSweepEngine) {
+TEST(Headline, DefenseOverheadBandsViaCellRunner) {
   // Fig. 11 trend at reduced scale (8x smaller input keeps this test in
   // CI-friendly time): CTD costs more than CRP on every workload, with
   // both averages pinned at the recorded values for this configuration
-  // (full scale records CRP 13.6% / CTD 26.1%; see bench_fig11).
-  // Run through the sweep engine — the same path the benches use.
+  // (full scale records CRP 13.6% / CTD 26.1%; see `impact run fig11`).
+  // Run through store::CellRunner on a pool — the path fig11 uses.
   graph::MultiprogConfig config;
   config.rmat_scale = 12;
   config.edge_count = 32768;
   // Shrink the hierarchy with the input to stay conflict-bound (the
   // regime where the defenses cost anything).
   config.system.cache_scale = 512;
+  constexpr dram::RowPolicy kPolicies[] = {dram::RowPolicy::kOpenRow,
+                                           dram::RowPolicy::kClosedRow,
+                                           dram::RowPolicy::kConstantTime};
+  store::ResultCache cache;
+  store::WorkloadStore workloads;
   exec::ThreadPool pool;
-  const auto matrix =
-      graph::evaluate_defense_matrix(config, graph::kAllWorkloads, &pool);
-  ASSERT_EQ(matrix.size(), std::size(graph::kAllWorkloads));
+  store::CellRunner runner(cache, workloads, &pool);
+  const auto grid =
+      runner.defense_matrix(config, graph::kAllWorkloads, kPolicies);
+  ASSERT_TRUE(grid.ok()) << grid.report.summary();
+  const std::size_t n = std::size(graph::kAllWorkloads);
   double crp_avg = 0.0;
   double ctd_avg = 0.0;
-  for (const auto& r : matrix) {
-    EXPECT_GT(r.open_row.cycles, 0u) << to_string(r.kind);
-    EXPECT_GE(r.ctd_overhead(), r.crp_overhead()) << to_string(r.kind);
-    crp_avg += r.crp_overhead() / matrix.size();
-    ctd_avg += r.ctd_overhead() / matrix.size();
+  for (std::size_t w = 0; w < n; ++w) {
+    const auto& cells = grid.cells[w];
+    ASSERT_GT(cells[0].stats.cycles, 0u) << to_string(graph::kAllWorkloads[w]);
+    const auto overhead = [&](std::size_t p) {
+      return static_cast<double>(cells[p].stats.cycles) /
+                 static_cast<double>(cells[0].stats.cycles) -
+             1.0;
+    };
+    const double crp = overhead(1);
+    const double ctd = overhead(2);
+    EXPECT_GE(ctd, crp) << to_string(graph::kAllWorkloads[w]);
+    crp_avg += crp / n;
+    ctd_avg += ctd / n;
   }
   EXPECT_NEAR(crp_avg, 0.0725, 0.02);
   EXPECT_NEAR(ctd_avg, 0.1253, 0.02);
 
-  // The engine's matrix must agree bit-for-bit with the single-workload
-  // entry point (same seeds, fresh system per cell).
-  const auto direct = graph::evaluate_defenses(config, matrix[1].kind);
-  EXPECT_EQ(direct, matrix[1]);
+  // The grid must agree bit-for-bit with the single-workload entry point
+  // (same seeds, fresh system per cell).
+  for (std::size_t p = 0; p < std::size(kPolicies); ++p) {
+    EXPECT_EQ(graph::run_multiprogrammed(config, graph::kAllWorkloads[1],
+                                         kPolicies[p]),
+              grid.cells[1][p].stats)
+        << to_string(kPolicies[p]);
+  }
 }
 
 TEST(Headline, ImpactIsLlcSizeInvariant) {

@@ -11,6 +11,7 @@
 
 #include "lab/args.hpp"
 #include "lab/context.hpp"
+#include "lab/driver.hpp"
 #include "lab/experiments.hpp"
 #include "lab/registry.hpp"
 
@@ -38,7 +39,6 @@ const Registry& builtin() {
 ExperimentSpec toy_spec() {
   ExperimentSpec spec;
   spec.name = "toy";
-  spec.binary = "bench_toy";
   spec.description = "argv fixture";
   spec.params = {{"banks", "bank count", "1024"}};
   spec.positional = {"banks"};
@@ -47,24 +47,21 @@ ExperimentSpec toy_spec() {
 }
 
 TEST(LabRegistry, BuiltinCatalogueIsCompleteAndSorted) {
-  // 20 bench_* + 6 examples/* former binaries.
-  EXPECT_EQ(builtin().size(), 26u);
+  EXPECT_EQ(builtin().size(), 25u);
   const auto all = builtin().all();
-  ASSERT_EQ(all.size(), 26u);
+  ASSERT_EQ(all.size(), 25u);
   for (std::size_t i = 1; i < all.size(); ++i) {
     EXPECT_LT(all[i - 1]->name, all[i]->name);
   }
   for (const auto* spec : all) {
-    EXPECT_FALSE(spec->binary.empty()) << spec->name;
     EXPECT_FALSE(spec->description.empty()) << spec->name;
     EXPECT_TRUE(spec->run) << spec->name;
   }
 }
 
-TEST(LabRegistry, FindResolvesNamesAndBinariesMapBack) {
+TEST(LabRegistry, FindResolvesNames) {
   const ExperimentSpec* fig11 = builtin().find("fig11");
   ASSERT_NE(fig11, nullptr);
-  EXPECT_EQ(fig11->binary, "bench_fig11");
   EXPECT_EQ(fig11->kind, Kind::kFigure);
   const ExperimentSpec* quickstart = builtin().find("quickstart");
   ASSERT_NE(quickstart, nullptr);
@@ -118,6 +115,15 @@ TEST(LabArgs, UnknownFlagAndSurplusPositionalRejected) {
   error.clear();
   EXPECT_FALSE(parse_args(spec, 3, undeclared, args, error));
   EXPECT_FALSE(error.empty());
+
+  // --json belongs to `impact list` only; `impact run` rejects it as an
+  // unknown flag (exit 2) before the experiment starts.
+  const char* json[] = {"toy", "--json"};
+  error.clear();
+  EXPECT_FALSE(parse_args(spec, 2, json, args, error));
+  EXPECT_NE(error.find("unknown flag '--json'"), std::string::npos) << error;
+  const char* run_json[] = {"impact", "run", "rowbuffer", "--json"};
+  EXPECT_EQ(impact::lab::impact_main(4, run_json), 2);
 }
 
 TEST(LabContext, ParamOverrideRoundTrip) {
@@ -232,9 +238,8 @@ TEST(LabSpecs, CellCountPins) {
       {"table1", 5},           // attack primitives
       {"ablation_faults", 5},  // fault scales
       {"ablation_sweep", 26},  // five sub-sweeps: 5+5+3+7+6
-      {"sweep_scaling", 15},   // 5 workloads x 3 thread counts
+      {"sweep_scaling", 15},   // 5 workloads x 3 policies
       {"store", 20},           // 5 workloads x 4 policies
-      {"defense_tradeoffs", 15},  // 5 workloads x 3 policies
   };
   for (const auto& pin : kPins) {
     const ExperimentSpec* spec = builtin().find(pin.name);

@@ -2,6 +2,9 @@
 // off-chip predictor.
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "obs/scope.hpp"
 #include "pim/locality_monitor.hpp"
 #include "pim/offchip_predictor.hpp"
 #include "pim/pei.hpp"
@@ -104,6 +107,99 @@ TEST_F(PeiTest, BypassColumnsRotateThroughRow) {
   EXPECT_EQ(cols.size(), 128u);  // 8192/64 distinct blocks.
   // Wraps around afterwards.
   EXPECT_EQ(pei_.next_bypass_column(8192, 64), *cols.begin());
+}
+
+/// One run of a mixed PEI stream through a fresh system: either the
+/// scalar loop (`clock += pre; execute; clock += post` per PEI) or one
+/// execute_batch call over the same vaddrs.
+struct PeiRun {
+  std::vector<PeiResult> results;
+  util::Cycle clock = 0;
+  obs::Snapshot snapshot;
+};
+
+PeiRun run_pei_stream(bool batched, util::Cycle pre_cost,
+                      util::Cycle post_cost) {
+  obs::Scope scope;
+  sys::MemorySystem system{sys::SystemConfig{}};
+  const sys::VSpan row_a = system.vmem().map_row(1, 4, 30);
+  const sys::VSpan row_b = system.vmem().map_row(1, 4, 31);
+  system.warm_span(1, row_a);
+  system.warm_span(1, row_b);
+  PeiDispatcher pei(PeiConfig{}, system, 1);
+
+  std::vector<sys::VAddr> stream;
+  // Fresh blocks of one open row: row hits after the first activation.
+  for (std::uint32_t k = 0; k < 8; ++k) stream.push_back(row_a.vaddr + 64 * k);
+  // Alternating rows of the same bank: row conflicts.
+  for (std::uint32_t k = 8; k < 16; ++k) {
+    stream.push_back((k % 2 == 0 ? row_a : row_b).vaddr + 64 * k);
+  }
+  // One block over and over: the PMU moves it host-side.
+  for (int k = 0; k < 6; ++k) stream.push_back(row_b.vaddr + 64 * 40);
+  // And back to memory-side traffic on the other row.
+  for (std::uint32_t k = 16; k < 20; ++k) {
+    stream.push_back(row_a.vaddr + 64 * k);
+  }
+
+  PeiRun out;
+  out.results.resize(stream.size());
+  if (batched) {
+    pei.execute_batch(stream.data(), stream.size(), out.clock, pre_cost,
+                      post_cost, out.results.data());
+  } else {
+    for (std::size_t i = 0; i < stream.size(); ++i) {
+      out.clock += pre_cost;
+      out.results[i] = pei.execute(stream[i], out.clock);
+      out.clock += post_cost;
+    }
+  }
+  out.snapshot = scope.snapshot();
+  return out;
+}
+
+TEST_F(PeiTest, ExecuteBatchMatchesScalarLoop) {
+  // The batched path behind ImpactPnm::send_run/probe_run must reproduce
+  // the scalar loop cycle for cycle, counters included.
+  constexpr util::Cycle kPre = 7;
+  constexpr util::Cycle kPost = 11;
+  const PeiRun scalar = run_pei_stream(false, kPre, kPost);
+  const PeiRun batch = run_pei_stream(true, kPre, kPost);
+
+  // The stream must exercise what it claims to.
+  std::size_t hits = 0;
+  std::size_t conflicts = 0;
+  std::size_t host = 0;
+  for (const PeiResult& r : scalar.results) {
+    if (r.placement == PeiPlacement::kHost) {
+      ++host;
+    } else if (r.outcome == dram::RowBufferOutcome::kHit) {
+      ++hits;
+    } else if (r.outcome == dram::RowBufferOutcome::kConflict) {
+      ++conflicts;
+    }
+  }
+  EXPECT_GT(hits, 0u);
+  EXPECT_GT(conflicts, 0u);
+  EXPECT_GT(host, 0u);
+
+  ASSERT_EQ(batch.results.size(), scalar.results.size());
+  for (std::size_t i = 0; i < scalar.results.size(); ++i) {
+    EXPECT_EQ(batch.results[i].latency, scalar.results[i].latency) << i;
+    EXPECT_EQ(batch.results[i].placement, scalar.results[i].placement) << i;
+    EXPECT_EQ(batch.results[i].outcome, scalar.results[i].outcome) << i;
+    EXPECT_EQ(batch.results[i].bank, scalar.results[i].bank) << i;
+  }
+  EXPECT_EQ(batch.clock, scalar.clock);
+  for (const char* name :
+       {"pim.pei.ops", "pim.pei.memory_side", "pim.pei.host_side"}) {
+    EXPECT_EQ(batch.snapshot.counter(name), scalar.snapshot.counter(name))
+        << name;
+  }
+  if (obs::kCompiled) {
+    EXPECT_EQ(scalar.snapshot.counter("pim.pei.ops"), scalar.results.size());
+    EXPECT_EQ(scalar.snapshot.counter("pim.pei.host_side"), host);
+  }
 }
 
 class RowCloneUnitTest : public ::testing::Test {

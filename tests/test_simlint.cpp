@@ -143,8 +143,8 @@ std::filesystem::path drivers_root() {
   return std::filesystem::path(LINT_FIXTURES_DIR) / "drivers";
 }
 
-/// Separate scan of the layerless driver-fixture tree (mirrors bench/,
-/// examples/, apps/: files directly under the root).
+/// Separate scan of the layerless driver-fixture tree (mirrors apps/:
+/// files directly under the root).
 const std::vector<Finding>& driver_findings() {
   static const std::vector<Finding> kFindings = [] {
     simlint::Options options;

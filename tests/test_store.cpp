@@ -582,6 +582,9 @@ TEST(WorkloadStore, InternsByInputFingerprint) {
 
 constexpr dram::RowPolicy kTwoPolicies[] = {dram::RowPolicy::kOpenRow,
                                             dram::RowPolicy::kClosedRow};
+constexpr dram::RowPolicy kThreePolicies[] = {dram::RowPolicy::kOpenRow,
+                                              dram::RowPolicy::kClosedRow,
+                                              dram::RowPolicy::kConstantTime};
 constexpr graph::WorkloadKind kTwoKinds[] = {graph::WorkloadKind::kBFS,
                                              graph::WorkloadKind::kPR};
 
@@ -625,52 +628,76 @@ TEST(CellRunner, WarmDefenseMatrixIsBitIdenticalSerialAndParallel) {
 }
 
 TEST(CellRunner, ColdSnapshotsMatchSerialOnAPoolAndPassVerify) {
-  // Each input's front end is recorded by whichever cell reaches it first
-  // and reused by the others; every cell must still carry the full
-  // per-cell telemetry, whatever the schedule.
+  // The determinism contract of the Fig. 11 grid: a cold grid on any pool
+  // size gives the serial grid's RunStats cell for cell. Each input's
+  // front end is recorded by whichever cell reaches it first and reused
+  // by the others; every cell must still carry the full per-cell
+  // telemetry, whatever the schedule.
   const graph::MultiprogConfig config = tiny_config();
-  constexpr dram::RowPolicy kPolicies[] = {dram::RowPolicy::kOpenRow,
-                                           dram::RowPolicy::kClosedRow,
-                                           dram::RowPolicy::kConstantTime};
   store::ResultCache serial_cache;
   store::WorkloadStore serial_workloads;
   store::CellRunner serial(serial_cache, serial_workloads, nullptr);
-  const auto want = serial.defense_matrix(config, kTwoKinds, kPolicies);
+  const auto want =
+      serial.defense_matrix(config, graph::kAllWorkloads, kThreePolicies);
   ASSERT_TRUE(want.ok());
 
-  store::ResultCache::Options options;
-  options.verify = true;
-  store::ResultCache pool_cache(options);
-  store::WorkloadStore pool_workloads;
-  exec::ThreadPool pool(4);
-  store::CellRunner parallel(pool_cache, pool_workloads, &pool);
-  const auto got = parallel.defense_matrix(config, kTwoKinds, kPolicies);
-  ASSERT_TRUE(got.ok());
-  EXPECT_EQ(got.report.cache_hits, 0u);
-  for (std::size_t w = 0; w < std::size(kTwoKinds); ++w) {
-    for (std::size_t p = 0; p < std::size(kPolicies); ++p) {
-      const auto& cell = got.cells[w][p];
-      EXPECT_FALSE(cell.cached);
-      EXPECT_EQ(cell.stats, want.cells[w][p].stats);
-      EXPECT_EQ(cell.snapshot.counters, want.cells[w][p].snapshot.counters)
-          << "cell " << w << "," << p;
-      if (obs::kCompiled) {
-        EXPECT_GT(cell.snapshot.counter("cache.l1.hits"), 0u);
-        EXPECT_GT(cell.snapshot.counter("tlb.accesses"), 0u);
+  for (const unsigned threads : {1u, 2u, 8u}) {
+    store::ResultCache::Options options;
+    options.verify = true;
+    store::ResultCache pool_cache(options);
+    store::WorkloadStore pool_workloads;
+    exec::ThreadPool pool(threads);
+    store::CellRunner parallel(pool_cache, pool_workloads, &pool);
+    const auto got =
+        parallel.defense_matrix(config, graph::kAllWorkloads, kThreePolicies);
+    ASSERT_TRUE(got.ok()) << threads << " thread(s)";
+    EXPECT_EQ(got.report.cache_hits, 0u);
+    for (std::size_t w = 0; w < std::size(graph::kAllWorkloads); ++w) {
+      for (std::size_t p = 0; p < std::size(kThreePolicies); ++p) {
+        const auto& cell = got.cells[w][p];
+        EXPECT_FALSE(cell.cached);
+        EXPECT_EQ(cell.stats, want.cells[w][p].stats)
+            << "cell " << w << "," << p << " at " << threads << " thread(s)";
+        EXPECT_EQ(cell.snapshot.counters, want.cells[w][p].snapshot.counters)
+            << "cell " << w << "," << p << " at " << threads << " thread(s)";
+        if (obs::kCompiled) {
+          EXPECT_GT(cell.snapshot.counter("cache.l1.hits"), 0u);
+          EXPECT_GT(cell.snapshot.counter("tlb.accesses"), 0u);
+        }
+      }
+    }
+
+    // Verify mode re-simulates every cell (now on warm front ends) and
+    // aborts on any byte of divergence from the cold records.
+    const auto audit =
+        parallel.defense_matrix(config, graph::kAllWorkloads, kThreePolicies);
+    ASSERT_TRUE(audit.ok()) << threads << " thread(s)";
+    EXPECT_EQ(audit.report.cache_hits, 0u);
+    for (std::size_t w = 0; w < std::size(graph::kAllWorkloads); ++w) {
+      for (std::size_t p = 0; p < std::size(kThreePolicies); ++p) {
+        EXPECT_EQ(audit.cells[w][p].snapshot.counters,
+                  want.cells[w][p].snapshot.counters);
       }
     }
   }
+}
 
-  // Verify mode re-simulates every cell (now on warm front ends) and
-  // aborts on any byte of divergence from the cold records.
-  const auto audit = parallel.defense_matrix(config, kTwoKinds, kPolicies);
-  ASSERT_TRUE(audit.ok());
-  EXPECT_EQ(audit.report.cache_hits, 0u);
-  for (std::size_t w = 0; w < std::size(kTwoKinds); ++w) {
-    for (std::size_t p = 0; p < std::size(kPolicies); ++p) {
-      EXPECT_EQ(audit.cells[w][p].snapshot.counters,
-                want.cells[w][p].snapshot.counters);
-    }
+TEST(CellRunner, FailedInputBuildFailsTheGridWithTheSweepSummary) {
+  auto config = tiny_config();
+  config.rmat_scale = 0;  // Rejected by CsrGraph::rmat: every build fails.
+  for (const unsigned threads : {0u, 2u}) {
+    store::ResultCache cache;
+    store::WorkloadStore workloads;
+    exec::ThreadPool pool(threads == 0 ? 1 : threads);
+    store::CellRunner runner(cache, workloads,
+                             threads == 0 ? nullptr : &pool);
+    const auto grid =
+        runner.defense_matrix(config, graph::kAllWorkloads, kThreePolicies);
+    EXPECT_FALSE(grid.ok()) << threads << " thread(s)";
+    const std::string summary = grid.report.summary();
+    EXPECT_NE(summary.find("0/20 tasks completed, 5 failed, 15 skipped"),
+              std::string::npos)
+        << summary;
   }
 }
 

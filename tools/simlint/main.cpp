@@ -1,6 +1,6 @@
 // simlint CLI. Exit codes: 0 clean, 1 non-baseline findings, 2 usage/IO.
 //
-//   simlint --root src [--root bench ...]
+//   simlint --root src [--root apps ...]
 //           [--baseline tools/simlint/baseline.txt]
 //           [--write-baseline FILE] [--rules nondet-*,layering] [--json]
 //
@@ -8,7 +8,7 @@
 // stage; `cmake --build build --target simlint` runs them standalone):
 //
 //   simlint --root src --baseline tools/simlint/baseline.txt
-//   simlint --root bench --root examples --rules 'nondet-*'
+//   simlint --root apps --rules 'nondet-*,driver-include'
 #include <cstdio>
 #include <iostream>
 #include <string>

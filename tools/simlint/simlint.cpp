@@ -793,9 +793,8 @@ void check_layering(const std::vector<FileScan>& files,
 }
 
 /// Driver TUs — files directly under a scan root, hence layerless (the
-/// bench/, examples/, and apps/ trees) — must stay thin shims over the
-/// experiment registry: the only project headers they may include are
-/// lab/ ones. Only quoted includes are recorded, so the standard library
+/// apps/ tree) — must stay thin shims over the experiment registry: the
+/// only project headers they may include are lab/ ones. Only quoted includes are recorded, so the standard library
 /// passes untouched; any other project header means experiment logic is
 /// growing back into a driver instead of src/lab/experiments/.
 void check_driver_includes(const std::vector<FileScan>& files,

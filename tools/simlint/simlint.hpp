@@ -64,7 +64,7 @@ struct Options {
   /// Scan roots. Layer names for the layering rules are the first path
   /// component below each root (e.g. <root>/dram/bank.cpp is in layer
   /// "dram"); files directly under a root have no layer and are exempt
-  /// from the layering rules (driver trees: bench/, examples/).
+  /// from the layering rules (the driver tree: apps/).
   std::vector<std::filesystem::path> roots;
   /// When non-empty, only findings whose rule id is listed are emitted.
   /// A trailing '*' acts as a prefix wildcard ("nondet-*").

@@ -15,18 +15,22 @@ CsrGraph::CsrGraph(NodeId nodes, std::vector<std::uint32_t> offsets,
               "CsrGraph: last offset must equal edge count");
 }
 
-CsrGraph CsrGraph::from_pairs(NodeId nodes,
-                              std::vector<std::pair<NodeId, NodeId>> pairs) {
-  std::sort(pairs.begin(), pairs.end());
+CsrGraph CsrGraph::from_pairs(
+    NodeId nodes, const std::vector<std::pair<NodeId, NodeId>>& pairs) {
   std::vector<std::uint32_t> offsets(nodes + 1, 0);
   for (const auto& [u, v] : pairs) {
     util::check(u < nodes && v < nodes, "CsrGraph: edge endpoint OOB");
     ++offsets[u + 1];
   }
   for (NodeId u = 0; u < nodes; ++u) offsets[u + 1] += offsets[u];
-  std::vector<NodeId> edges;
-  edges.reserve(pairs.size());
-  for (const auto& [u, v] : pairs) edges.push_back(v);
+  // Counting sort on u through per-row cursors, then each row sorted on
+  // v: the pairs' lexicographic order, duplicates included.
+  std::vector<NodeId> edges(pairs.size());
+  std::vector<std::uint32_t> cursor(offsets.begin(), offsets.end() - 1);
+  for (const auto& [u, v] : pairs) edges[cursor[u]++] = v;
+  for (NodeId u = 0; u < nodes; ++u) {
+    std::sort(edges.begin() + offsets[u], edges.begin() + offsets[u + 1]);
+  }
   return CsrGraph(nodes, std::move(offsets), std::move(edges));
 }
 
@@ -41,7 +45,7 @@ CsrGraph CsrGraph::uniform(NodeId nodes, std::size_t edges,
     if (v == u) v = (v + 1) % nodes;
     pairs.emplace_back(u, v);
   }
-  return from_pairs(nodes, std::move(pairs));
+  return from_pairs(nodes, pairs);
 }
 
 CsrGraph CsrGraph::rmat(std::uint32_t scale, std::size_t edges,
@@ -56,23 +60,21 @@ CsrGraph CsrGraph::rmat(std::uint32_t scale, std::size_t edges,
   for (std::size_t i = 0; i < edges; ++i) {
     NodeId u = 0;
     NodeId v = 0;
+    // One draw per level picks the quadrant: [0,a) none, [a,a+b) v,
+    // [a+b,a+b+c) u, the rest both. The bits are combined with & and |,
+    // not && and ||, so no branch depends on the random draw.
     for (std::uint32_t bit = 0; bit < scale; ++bit) {
       const double r = rng.uniform();
-      if (r < kA) {
-        // Top-left quadrant: no bits set.
-      } else if (r < kA + kB) {
-        v |= 1u << bit;
-      } else if (r < kA + kB + kC) {
-        u |= 1u << bit;
-      } else {
-        u |= 1u << bit;
-        v |= 1u << bit;
-      }
+      const NodeId u_bit = r >= kA + kB;
+      const NodeId v_bit =
+          (NodeId{r >= kA} & NodeId{r < kA + kB}) | NodeId{r >= kA + kB + kC};
+      u |= u_bit << bit;
+      v |= v_bit << bit;
     }
     if (u == v) v = (v + 1) % nodes;
     pairs.emplace_back(u, v);
   }
-  return from_pairs(nodes, std::move(pairs));
+  return from_pairs(nodes, pairs);
 }
 
 }  // namespace impact::graph

@@ -43,8 +43,9 @@ class CsrGraph {
   }
 
  private:
-  static CsrGraph from_pairs(NodeId nodes,
-                             std::vector<std::pair<NodeId, NodeId>> pairs);
+  /// Rows in ascending u, each row's targets in ascending v.
+  static CsrGraph from_pairs(
+      NodeId nodes, const std::vector<std::pair<NodeId, NodeId>>& pairs);
 
   NodeId nodes_ = 0;
   std::vector<std::uint32_t> offsets_;  // nodes+1 entries.

@@ -109,6 +109,14 @@ struct FrontEnd {
 
 namespace {
 
+/// Every SystemConfig field is either compared below or cannot change what
+/// the front end records: freq_ghz, cores and dram.policy (both set per
+/// run), dram.timing, dram.freq, timer and dma. A new field changes the
+/// size: classify it here and in test_graph's FrontEndMemoKey before
+/// updating the size.
+static_assert(sizeof(sys::SystemConfig) == 264,
+              "classify the new SystemConfig field for same_front_end");
+
 /// True when the front end recorded under `a` is valid under `b`.
 bool same_front_end(const sys::SystemConfig& a, const sys::SystemConfig& b) {
   return a.llc_bytes == b.llc_bytes && a.llc_ways == b.llc_ways &&

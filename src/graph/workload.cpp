@@ -16,16 +16,22 @@ class Emitter {
 
   void read(ArrayRef a, std::uint32_t i, std::uint16_t compute,
             std::uint16_t pc) {
-    trace_->ops.push_back(
-        TraceOp{.index = i, .compute = compute, .pc = pc, .array = a});
+    push(a, i, compute, pc, false);
   }
   void write(ArrayRef a, std::uint32_t i, std::uint16_t compute,
              std::uint16_t pc) {
-    trace_->ops.push_back(TraceOp{
-        .index = i, .compute = compute, .pc = pc, .array = a, .write = true});
+    push(a, i, compute, pc, true);
   }
 
  private:
+  void push(ArrayRef a, std::uint32_t i, std::uint16_t compute,
+            std::uint16_t pc, bool write) {
+    util::check(pc < kTracePcLimit, "Emitter: pc must fit TraceOp::pc");
+    TraceOp op{.index = i, .compute = compute, .array = a, .write = write};
+    op.pc = pc;
+    trace_->ops.push_back(op);
+  }
+
   WorkloadTrace* trace_;
 };
 

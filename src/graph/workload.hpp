@@ -58,16 +58,20 @@ enum class ArrayRef : std::uint8_t {
 };
 inline constexpr std::size_t kArrayRefCount = 5;
 
-/// Fields ordered widest first so the op packs into 12 bytes (traces run
-/// to millions of ops per workload).
+/// Packs into 8 bytes (traces run to millions of ops per workload): `pc`,
+/// `array` and `write` share one 16-bit word.
 struct TraceOp {
   std::uint32_t index = 0;    ///< Element index (4-byte elements).
   std::uint16_t compute = 0;  ///< CPU cycles before this access.
-  std::uint16_t pc = 0;       ///< Synthetic instruction address (prefetchers).
-  ArrayRef array = ArrayRef::kOffsets;
-  bool write = false;
+  /// Synthetic instruction address (prefetchers), below kTracePcLimit.
+  std::uint16_t pc : 12 = 0;
+  ArrayRef array : 3 = ArrayRef::kOffsets;
+  bool write : 1 = false;
 };
-static_assert(sizeof(TraceOp) == 12);
+static_assert(sizeof(TraceOp) == 8);
+
+/// Exclusive bound of TraceOp::pc (a 12-bit field).
+inline constexpr std::uint32_t kTracePcLimit = 1u << 12;
 
 struct WorkloadTrace {
   WorkloadKind kind = WorkloadKind::kBFS;

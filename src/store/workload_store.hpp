@@ -8,7 +8,8 @@
 // out const pointers that stay valid for the store's lifetime.
 //
 // Thread safety: get() may be called concurrently from sweep workers.
-// The builder runs outside the lock (builds take seconds; serializing
+// The builder runs outside the lock (a default Fig. 11 build takes
+// 30-135 ms in Release on a 4-vCPU VM, TC the longest; serializing
 // them on a mutex would erase the sweep's parallelism), so two workers
 // racing on the same key may both build — the first to publish wins and
 // the duplicate is dropped. Determinism makes both builds identical, so

@@ -4,6 +4,8 @@
 #include <algorithm>
 #include <cstdlib>
 #include <deque>
+#include <map>
+#include <memory>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
@@ -55,6 +57,44 @@ TEST(CsrGraphTest, GeneratorsAreDeterministic) {
 TEST(CsrGraphTest, ValidationRejectsBadShape) {
   EXPECT_THROW(CsrGraph(2, {0, 1}, {0}), std::invalid_argument);
   EXPECT_THROW(CsrGraph(2, {0, 1, 3}, {0}), std::invalid_argument);
+}
+
+// --- Bit-for-bit pins of the input build ---------------------------------
+//
+// The constants below were computed before the generators' fast paths
+// (branch-free RMAT quadrant bits, per-row counting sort in from_pairs,
+// the 8-byte TraceOp) went in: any change to the graphs or traces that
+// Fig. 11 replays shows here, not only as a shifted figure.
+
+/// FNV-1a-style hash over 64-bit words.
+struct Digest {
+  std::uint64_t h = 14695981039346656037ull;
+  void add(std::uint64_t v) { h = (h ^ v) * 1099511628211ull; }
+};
+
+std::uint64_t csr_digest(const CsrGraph& g) {
+  Digest d;
+  for (const std::uint32_t o : g.offsets()) d.add(o);
+  for (const NodeId v : g.edge_list()) d.add(v);
+  return d.h;
+}
+
+TEST(InputPins, Fig11RmatGraph) {
+  util::Xoshiro256 rng(99);
+  const auto g = CsrGraph::rmat(15, 262144, rng);
+  EXPECT_EQ(g.edges(), 262144u);
+  EXPECT_EQ(csr_digest(g), 0xe8679f0d8ec6f4daull);
+}
+
+TEST(InputPins, SmallRmatGraph) {
+  util::Xoshiro256 rng(3);
+  EXPECT_EQ(csr_digest(CsrGraph::rmat(10, 5000, rng)), 0x67ecf5a4d7410878ull);
+}
+
+TEST(InputPins, UniformGraph) {
+  util::Xoshiro256 rng(4);
+  EXPECT_EQ(csr_digest(CsrGraph::uniform(500, 4000, rng)),
+            0xf72ed244ec898f19ull);
 }
 
 TEST(WorkloadTrace, BfsChecksumMatchesReferenceBfs) {
@@ -152,6 +192,71 @@ TEST(WorkloadTrace, TracesAreDeterministic) {
   EXPECT_EQ(a.checksum, b.checksum);
   EXPECT_EQ(a.ops.size(), b.ops.size());
 }
+
+TEST(TraceOpTest, PackedFieldsRoundTrip) {
+  TraceOp op{.index = 0xffffffffu, .compute = 0xffff,
+             .array = ArrayRef::kPrivate2, .write = true};
+  op.pc = kTracePcLimit - 1;
+  EXPECT_EQ(op.index, 0xffffffffu);
+  EXPECT_EQ(op.compute, 0xffffu);
+  EXPECT_EQ(op.pc, 4095u);
+  EXPECT_EQ(op.array, ArrayRef::kPrivate2);
+  EXPECT_TRUE(op.write);
+}
+
+/// One kernel's trace over the Fig. 11 input, pinned field by field.
+struct TracePin {
+  WorkloadKind kind;
+  std::size_t ops;
+  std::uint64_t checksum;
+  std::uint32_t private_elems[3];
+  std::uint64_t op_digest;  ///< Over every op's five fields, in order.
+
+  friend void PrintTo(const TracePin& pin, std::ostream* os) {
+    *os << to_string(pin.kind);
+  }
+};
+
+class TracePins : public ::testing::TestWithParam<TracePin> {};
+
+TEST_P(TracePins, Fig11TraceIsPinned) {
+  const TracePin& want = GetParam();
+  util::Xoshiro256 rng(99);
+  const auto g = CsrGraph::rmat(15, 262144, rng);
+  const WorkloadTrace t = build_trace(want.kind, g);
+  Digest d;
+  for (const TraceOp& op : t.ops) {
+    d.add(op.index);
+    d.add(op.compute);
+    d.add(op.pc);
+    d.add(static_cast<std::uint64_t>(op.array));
+    d.add(op.write ? 1 : 0);
+  }
+  EXPECT_EQ(t.kind, want.kind);
+  EXPECT_EQ(t.ops.size(), want.ops);
+  EXPECT_EQ(t.checksum, want.checksum);
+  for (int p = 0; p < 3; ++p) {
+    EXPECT_EQ(t.private_elems[p], want.private_elems[p]) << p;
+  }
+  EXPECT_EQ(d.h, want.op_digest);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllKinds, TracePins,
+    ::testing::Values(
+        TracePin{WorkloadKind::kBC, 2063620, 37592000, {32768, 32768, 32768},
+                 0xd2b658e0597832b5ull},
+        TracePin{WorkloadKind::kBFS, 566303, 17416, {32768, 0, 0},
+                 0x479f9f1200aa7f59ull},
+        TracePin{WorkloadKind::kCC, 1197185, 15302, {32768, 0, 0},
+                 0xa2a3fe39f9ea85afull},
+        TracePin{WorkloadKind::kTC, 6871491, 115507, {0, 0, 0},
+                 0xbb0ca4117411b87aull},
+        TracePin{WorkloadKind::kPR, 1179648, 714850, {32768, 32768, 0},
+                 0x749694269565d9c5ull},
+        TracePin{WorkloadKind::kSSSP, 1756620, 96057, {32768, 0, 0},
+                 0xa4f6aa69ce1e58caull}),
+    [](const auto& info) { return std::string(to_string(info.param.kind)); });
 
 class DefensePolicyOverhead
     : public ::testing::TestWithParam<WorkloadKind> {};
@@ -433,6 +538,141 @@ INSTANTIATE_TEST_SUITE_P(
       return name;
     });
 
+// --- The front-end memo's key --------------------------------------------
+//
+// FrontEndMemo keys its entry on the SystemConfig fields the front end
+// reads (same_front_end, multiprog.cpp, whose static_assert on the size
+// of SystemConfig forces a new field to be classified). Every field is
+// either in the key, and changing it must record afresh, or out of it,
+// and then a cold recording under the changed config must count the same
+// cache and TLB events and LLC misses.
+
+struct FieldChange {
+  const char* field;
+  void (*apply)(sys::SystemConfig&);
+};
+
+constexpr FieldChange kKeyFields[] = {
+    {"llc_bytes", [](sys::SystemConfig& s) { s.llc_bytes *= 2; }},
+    {"llc_ways", [](sys::SystemConfig& s) { s.llc_ways /= 2; }},
+    {"cache_scale", [](sys::SystemConfig& s) { s.cache_scale *= 2; }},
+    {"prefetchers",
+     [](sys::SystemConfig& s) { s.prefetchers = !s.prefetchers; }},
+    {"tlb.l1", [](sys::SystemConfig& s) { s.tlb.l1.entries /= 2; }},
+    {"tlb.walk_latency",
+     [](sys::SystemConfig& s) { s.tlb.walk_latency += 1; }},
+    {"seed", [](sys::SystemConfig& s) { s.seed += 1; }},
+    {"mapping",
+     [](sys::SystemConfig& s) {
+       s.mapping = dram::MappingScheme::kXorBankHash;
+     }},
+    {"dram.channels", [](sys::SystemConfig& s) { s.dram.channels *= 2; }},
+    {"dram.ranks", [](sys::SystemConfig& s) { s.dram.ranks /= 2; }},
+    {"dram.banks_per_rank",
+     [](sys::SystemConfig& s) { s.dram.banks_per_rank /= 2; }},
+    {"dram.rows_per_bank",
+     [](sys::SystemConfig& s) { s.dram.rows_per_bank /= 2; }},
+    {"dram.row_bytes", [](sys::SystemConfig& s) { s.dram.row_bytes /= 2; }},
+    {"dram.subarray_rows",
+     [](sys::SystemConfig& s) { s.dram.subarray_rows /= 2; }},
+};
+
+constexpr FieldChange kNonKeyFields[] = {
+    {"freq_ghz", [](sys::SystemConfig& s) { s.freq_ghz = 3.2; }},
+    {"cores", [](sys::SystemConfig& s) { s.cores = 8; }},
+    {"dram.policy",
+     [](sys::SystemConfig& s) {
+       s.dram.policy = dram::RowPolicy::kConstantTime;
+     }},
+    {"dram.timing",
+     [](sys::SystemConfig& s) {
+       s.dram.timing.trcd_ns *= 2;
+       s.dram.timing.tcas_ns *= 2;
+     }},
+    {"dram.freq",
+     [](sys::SystemConfig& s) { s.dram.freq = util::Frequency{3.2}; }},
+    {"timer", [](sys::SystemConfig& s) { s.timer.rdtscp_cost += 10; }},
+    {"dma",
+     [](sys::SystemConfig& s) { s.dma.per_transfer_overhead += 10; }},
+};
+
+TEST(FrontEndMemoKey, KeyFieldsRebuildAndOthersHit) {
+  const MultiprogConfig config = split_config();
+  const WorkloadInput input = build_input(config, WorkloadKind::kBFS);
+  (void)run_multiprogrammed(config, input, dram::RowPolicy::kOpenRow);
+  // run_multiprogrammed looks its memo up with two cores.
+  sys::SystemConfig base = config.system;
+  base.cores = 2;
+  int builds = 0;
+  const auto count_build = [&](std::shared_ptr<const FrontEnd> entry) {
+    return [&builds, entry] {
+      ++builds;
+      return entry;
+    };
+  };
+  const std::shared_ptr<const FrontEnd> entry =
+      input.front_end.get(base, count_build(nullptr));
+  ASSERT_EQ(builds, 0) << "the run must have filled the memo";
+  ASSERT_NE(entry, nullptr);
+  // The build hands back the entry recorded under `base`, so every
+  // lookup below is compared against the same key.
+  for (const FieldChange& change : kKeyFields) {
+    sys::SystemConfig system = base;
+    change.apply(system);
+    builds = 0;
+    EXPECT_EQ(input.front_end.get(system, count_build(entry)), entry);
+    EXPECT_EQ(builds, 1) << change.field << " must be in the key";
+  }
+  for (const FieldChange& change : kNonKeyFields) {
+    sys::SystemConfig system = base;
+    change.apply(system);
+    builds = 0;
+    EXPECT_EQ(input.front_end.get(system, count_build(entry)), entry);
+    EXPECT_EQ(builds, 0) << change.field << " must not be in the key";
+  }
+}
+
+/// The front end's share of a cold run: LLC misses and the cache and TLB
+/// counters.
+struct FrontEndCounts {
+  std::uint64_t llc_misses = 0;
+  std::map<std::string, std::uint64_t> counters;
+  friend bool operator==(const FrontEndCounts&,
+                         const FrontEndCounts&) = default;
+};
+
+FrontEndCounts cold_front_end(const MultiprogConfig& config,
+                              const WorkloadInput& built) {
+  const WorkloadInput input = built;  // A copy starts with a cold memo.
+  const CapturedCell cell = capture([&] {
+    return run_multiprogrammed(config, input, config.system.dram.policy);
+  });
+  FrontEndCounts counts;
+  counts.llc_misses = cell.stats.llc_misses;
+  for (const auto& [name, value] : cell.snapshot.counters) {
+    if (name.starts_with("cache.") || name.starts_with("tlb.")) {
+      counts.counters[name] = value;
+    }
+  }
+  return counts;
+}
+
+TEST(FrontEndMemoKey, FieldsOutsideTheKeyLeaveTheFrontEndUnchanged) {
+  const MultiprogConfig config = split_config();
+  const WorkloadInput built = build_input(config, WorkloadKind::kBC);
+  const FrontEndCounts want = cold_front_end(config, built);
+  EXPECT_GT(want.llc_misses, 0u);
+  if (obs::kCompiled) {
+    EXPECT_GT(want.counters.count("cache.l1.hits"), 0u);
+    EXPECT_GT(want.counters.count("tlb.accesses"), 0u);
+  }
+  for (const FieldChange& change : kNonKeyFields) {
+    MultiprogConfig changed = config;
+    change.apply(changed.system);
+    EXPECT_TRUE(cold_front_end(changed, built) == want) << change.field;
+  }
+}
+
 // --- Hand-built inputs for the back end's merge edge cases ---------------
 
 /// A small shared graph plus a hand-written trace. Private array 0 spans
@@ -448,7 +688,10 @@ WorkloadInput hand_built(std::vector<TraceOp> ops) {
 
 TraceOp load(ArrayRef array, std::uint32_t index, std::uint16_t compute,
              std::uint16_t pc = 1) {
-  return {.index = index, .compute = compute, .pc = pc, .array = array};
+  // pc is a 12-bit field: a braced init from a uint16_t would narrow.
+  TraceOp op{.index = index, .compute = compute, .array = array};
+  op.pc = pc;
+  return op;
 }
 
 /// Runs `input` under every policy, split and per-access, and compares.

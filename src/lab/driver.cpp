@@ -8,33 +8,11 @@
 #include "lab/args.hpp"
 #include "lab/context.hpp"
 #include "lab/registry.hpp"
+#include "util/json.hpp"
 
 namespace impact::lab {
 
 namespace {
-
-/// JSON string escaping for the `impact list --json` payload.
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 int run_spec(const ExperimentSpec& spec, int argc, const char* const* argv) {
   Args args;
@@ -75,10 +53,10 @@ int cmd_list(const Registry& registry, int argc, const char* const* argv) {
     if (json) {
       std::printf("%s{\"name\":\"%s\",\"kind\":\"%s\","
                   "\"bench_role\":\"%s\",\"description\":\"%s\"}",
-                  first ? "" : ",", json_escape(spec->name).c_str(),
+                  first ? "" : ",", util::json_escape(spec->name).c_str(),
                   kind_name(spec->kind),
-                  json_escape(spec->bench_role).c_str(),
-                  json_escape(spec->description).c_str());
+                  util::json_escape(spec->bench_role).c_str(),
+                  util::json_escape(spec->description).c_str());
     } else {
       std::printf("%-26s %-9s %s\n", spec->name.c_str(),
                   kind_name(spec->kind), spec->description.c_str());

@@ -35,9 +35,11 @@ constexpr std::size_t kSubSweepCells[] = {5, 5, 3, 7, 6};
 
 int run_ablation_sweep(Context& ctx) {
   exec::ThreadPool& pool = ctx.pool();
-  std::printf("=== bench_ablation_sweep: IMPACT design-space ablations "
-              "(%u worker thread(s)) ===\n\n",
-              pool.size());
+  // The header goes to stderr: stdout is the same at any worker count.
+  std::fprintf(stderr,
+               "=== bench_ablation_sweep: IMPACT design-space ablations "
+               "(%u worker thread(s)) ===\n",
+               pool.size());
 
   store::CellRunner& runner = ctx.runner();
 

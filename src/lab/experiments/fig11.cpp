@@ -10,8 +10,8 @@
 // simulating (a warm run is pure lookups — see the `store` experiment),
 // and the table below is rebuilt from the per-cell snapshots (graph.*
 // counters) rather than the tasks' own RunStats — the spine's accounting
-// is the figure. With the spine compiled out (-DIMPACT_OBS=OFF) the table
-// falls back to the RunStats cells, which are identical.
+// is the figure. A cell without a snapshot falls back to its RunStats,
+// which are identical.
 #include <cstdio>
 #include <iterator>
 #include <string>
@@ -20,7 +20,6 @@
 #include "graph/multiprog.hpp"
 #include "lab/context.hpp"
 #include "lab/experiments.hpp"
-#include "obs/scope.hpp"
 #include "obs/snapshot.hpp"
 #include "util/table.hpp"
 
@@ -34,10 +33,12 @@ constexpr dram::RowPolicy kFig11Policies[] = {
 int run_fig11(Context& ctx) {
   exec::ThreadPool& pool = ctx.pool();
   std::printf("=== bench_fig11: defense overheads (CRP / CTD vs open row) "
-              "===\n");
-  std::printf("2 cores, shared RMAT input, hierarchy+input scaled 256x, "
-              "%u worker thread(s)\n\n",
-              pool.size());
+              "===\n\n");
+  // The worker count goes to stderr: stdout is the same at any count.
+  std::fprintf(stderr,
+               "2 cores, shared RMAT input, hierarchy+input scaled 256x, "
+               "%u worker thread(s)\n",
+               pool.size());
 
   graph::MultiprogConfig config;
   store::CellRunner& runner = ctx.runner();
@@ -66,13 +67,13 @@ int run_fig11(Context& ctx) {
 std::string render_fig11(const store::CellRunner::MatrixResult& grid) {
   const std::size_t workloads = std::size(graph::kAllWorkloads);
 
-  // One row value: from the cell's snapshot when the spine is compiled in
-  // and the cell carries one, from the cell's RunStats otherwise.
+  // One row value: from the cell's snapshot when it carries one, from the
+  // cell's RunStats otherwise.
   // Bit-identical either way — and bit-identical whether the cell
   // simulated or came from the cache.
   const auto cell_stats = [&](std::size_t w, std::size_t p) {
     const store::CellRunner::MatrixCell& cell = grid.cells[w][p];
-    if (!obs::kCompiled || cell.snapshot.empty()) return cell.stats;
+    if (cell.snapshot.empty()) return cell.stats;
     graph::RunStats r;
     r.cycles = cell.snapshot.counter("graph.cycles");
     r.instructions = cell.snapshot.counter("graph.instructions");
@@ -128,7 +129,7 @@ std::string render_fig11(const store::CellRunner::MatrixResult& grid) {
       "can partially reopen the channel.\n",
       100.0 * crp_sum / n, 100.0 * ctd_sum / n, 100.0 * adp_sum / n);
   out += buf;
-  if (obs::kCompiled && !totals.empty()) {
+  if (!totals.empty()) {
     out += "\ngrid totals (merged per-cell obs snapshots):\n";
     out += totals.table("  ");
   }

@@ -44,9 +44,7 @@ int run_fig2(Context&) {
 
     // Fully simulated attacks. Each runs under its own obs scope; the
     // table's report is re-derived from the scope's snapshot, pinning the
-    // spine's accounting to the figure the paper comparison rests on
-    // (measure()'s aggregate is the obs-disabled fallback and is identical
-    // to the snapshot when the spine is compiled in).
+    // spine's accounting to the figure the paper comparison rests on.
     obs::Scope evict_scope;
     sys::SystemConfig cfg;
     cfg.llc_bytes = llc_bytes;
@@ -55,11 +53,9 @@ int run_fig2(Context&) {
     sys::MemorySystem evict_system(cfg);
     auto evict_attack = attacks::make_attack(
         attacks::AttackKind::kDramaEviction, evict_system);
-    const auto evict_measured = evict_attack->measure(64, 6, 11);
+    evict_attack->measure(64, 6, 11);
     const auto evict_report =
-        obs::kCompiled
-            ? channel::report_from_snapshot(evict_scope.snapshot())
-            : evict_measured;
+        channel::report_from_snapshot(evict_scope.snapshot());
 
     obs::Scope direct_scope;
     sys::SystemConfig direct_cfg;
@@ -67,11 +63,9 @@ int run_fig2(Context&) {
     sys::MemorySystem direct_system(direct_cfg);
     auto direct_attack = attacks::make_attack(
         attacks::AttackKind::kDirectAccess, direct_system);
-    const auto direct_measured = direct_attack->measure(64, 6, 11);
+    direct_attack->measure(64, 6, 11);
     const auto direct_report =
-        obs::kCompiled
-            ? channel::report_from_snapshot(direct_scope.snapshot())
-            : direct_measured;
+        channel::report_from_snapshot(direct_scope.snapshot());
 
     table.add_row(
         {std::to_string(mb) + " MB", util::Table::num(p.llc_latency, 0),

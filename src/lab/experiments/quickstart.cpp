@@ -43,10 +43,8 @@ void run_attack(const sys::SystemConfig& config,
               attack.name().c_str(), attack.threshold(),
               result.report.bit_errors(), result.report.bits_total,
               result.report.throughput_mbps(config.frequency()));
-  if (obs::kCompiled) {
-    std::printf("[%s] obs snapshot:\n%s", attack.name().c_str(),
-                scope.snapshot().table("  ").c_str());
-  }
+  std::printf("[%s] obs snapshot:\n%s", attack.name().c_str(),
+              scope.snapshot().table("  ").c_str());
   std::printf("\n");
 }
 
@@ -66,10 +64,6 @@ int run_quickstart(Context& ctx) {
   run_attack<attacks::ImpactPum>(config, message, tracer);
 
   if (tracer != nullptr) {
-    if (!obs::kCompiled) {
-      std::printf("--trace: obs spine compiled out (IMPACT_OBS=OFF); "
-                  "no events recorded\n");
-    }
     if (trace.export_chrome_json(trace_path)) {
       std::printf("trace: %zu events -> %s\n", trace.size(),
                   trace_path.c_str());

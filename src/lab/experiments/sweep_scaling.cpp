@@ -27,6 +27,7 @@
 #include "graph/multiprog.hpp"
 #include "lab/context.hpp"
 #include "lab/experiments.hpp"
+#include "util/json.hpp"
 
 namespace impact::lab {
 namespace {
@@ -143,7 +144,8 @@ int run_sweep_scaling(Context& ctx) {
       "\"speedup\":%.4f,\"scaling_valid\":%s,"
       "\"cells_identical\":%s}\n",
       smoke ? "true" : "false", pool.size(),
-      threads_env != nullptr ? threads_env : "", hw, serial_s, serial_cpu_s,
+      util::json_escape(threads_env != nullptr ? threads_env : "").c_str(),
+      hw, serial_s, serial_cpu_s,
       parallel_s, parallel_cpu_s, speedup, scaling_valid ? "true" : "false",
       identical ? "true" : "false");
 

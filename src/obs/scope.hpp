@@ -1,5 +1,4 @@
-// Scoped installation of the current registry/trace, and the compile-time
-// kill switch for the whole spine.
+// Scoped installation of the current registry/trace.
 //
 // Instrumented layers never hold a Registry; they ask `current_registry()`
 // at construction and cache the resulting handles. `obs::Scope` installs a
@@ -7,14 +6,9 @@
 // for its lifetime — exec::Sweep opens one per cell, quickstart one per
 // run. Nesting restores the previous scope on destruction.
 //
-// Zero-overhead argument, in two layers:
-//  * compiled OUT (-DIMPACT_OBS=OFF): `current_registry()` is a constexpr
-//    nullptr, so every `if (auto* reg = obs::current_registry())` block is
-//    dead code the optimizer deletes; handles are never resolved and the
-//    guarded `if (handle)` blocks fold to nothing.
-//  * compiled IN but outside any Scope (every microbench): resolution
-//    returns null handles once at construction, and the per-op cost is a
-//    single predictable branch on a cached handle.
+// Cost outside any Scope (every microbench): resolution returns null
+// handles once at construction, and the per-op cost is a single
+// predictable branch on a cached handle.
 //
 // Components built inside a Scope must not outlive it: handles point into
 // the scope's registry. Components that register providers flush them in
@@ -27,31 +21,19 @@
 #include "obs/snapshot.hpp"
 #include "obs/trace.hpp"
 
-#ifndef IMPACT_OBS_ENABLED
-#define IMPACT_OBS_ENABLED 1
-#endif
-
 namespace impact::obs {
-
-/// True when the spine's instrumentation is compiled into the simulator.
-inline constexpr bool kCompiled = IMPACT_OBS_ENABLED != 0;
 
 namespace detail {
 [[nodiscard]] Registry*& registry_slot();
 [[nodiscard]] TraceSession*& trace_slot();
 }  // namespace detail
 
-#if IMPACT_OBS_ENABLED
 [[nodiscard]] inline Registry* current_registry() {
   return detail::registry_slot();
 }
 [[nodiscard]] inline TraceSession* current_trace() {
   return detail::trace_slot();
 }
-#else
-[[nodiscard]] constexpr Registry* current_registry() { return nullptr; }
-[[nodiscard]] constexpr TraceSession* current_trace() { return nullptr; }
-#endif
 
 /// Null-safe handle resolution against the current scope: returns a null
 /// handle (whose guarded use is a no-op) when no scope is active.

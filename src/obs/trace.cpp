@@ -1,11 +1,11 @@
 #include "obs/trace.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <fstream>
 
 #include "util/assert.hpp"
 #include "util/csv.hpp"
+#include "util/json.hpp"
 
 namespace impact::obs {
 
@@ -48,41 +48,6 @@ void TraceSession::clear() {
   dropped_ = 0;
 }
 
-namespace {
-
-/// Minimal JSON string escaping (quotes, backslash, control characters).
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-}  // namespace
-
 void TraceSession::write_chrome_json(std::ostream& out) const {
   // One simulated cycle maps to one "microsecond" of trace time; the
   // viewer's absolute units are meaningless for a simulator, only the
@@ -91,8 +56,8 @@ void TraceSession::write_chrome_json(std::ostream& out) const {
   for (std::size_t i = 0; i < size(); ++i) {
     const TraceEvent& ev = event(i);
     if (i > 0) out << ",";
-    out << "\n{\"name\":\"" << json_escape(ev.name) << "\",\"cat\":\""
-        << json_escape(ev.cat) << "\",\"pid\":0,\"tid\":" << ev.track
+    out << "\n{\"name\":\"" << util::json_escape(ev.name) << "\",\"cat\":\""
+        << util::json_escape(ev.cat) << "\",\"pid\":0,\"tid\":" << ev.track
         << ",\"ts\":" << ev.start;
     if (ev.phase == Phase::kSpan) {
       out << ",\"ph\":\"X\",\"dur\":" << (ev.end - ev.start);

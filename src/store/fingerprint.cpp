@@ -4,7 +4,6 @@
 #include <bit>
 #include <cstdio>
 
-#include "obs/scope.hpp"
 #include "util/assert.hpp"
 
 namespace impact::store {
@@ -61,7 +60,6 @@ bool Fingerprint::from_hex(std::string_view text, Fingerprint* out) {
 
 Canon::Canon(std::uint32_t schema_salt) {
   field("__schema", static_cast<std::uint64_t>(schema_salt));
-  field("__obs", obs::kCompiled);
 }
 
 void Canon::add(std::string_view name, char tag, std::string value) {
@@ -114,6 +112,11 @@ Fingerprint Canon::fingerprint() const {
   return fp;
 }
 
+// Each canon_of lists its struct's fields by hand. A new field changes the
+// struct's size and fails the build here until it is added to canon_of and
+// to test_store's CanonOf.EveryInputChangeChangesTheFingerprint.
+static_assert(sizeof(dram::TimingParams) == 80,
+              "add the new TimingParams field to canon_of");
 Canon canon_of(const dram::TimingParams& timing) {
   Canon c;
   c.field("trcd_ns", timing.trcd_ns);
@@ -130,6 +133,8 @@ Canon canon_of(const dram::TimingParams& timing) {
   return c;
 }
 
+static_assert(sizeof(dram::DramConfig) == 120,
+              "add the new DramConfig field to canon_of");
 Canon canon_of(const dram::DramConfig& config) {
   Canon c;
   c.field("channels", config.channels);
@@ -144,6 +149,8 @@ Canon canon_of(const dram::DramConfig& config) {
   return c;
 }
 
+static_assert(sizeof(sys::TlbConfig) == 64,
+              "add the new TlbConfig field to canon_of");
 Canon canon_of(const sys::TlbConfig& config) {
   Canon c;
   const auto level = [](const sys::TlbLevelConfig& l) {
@@ -162,6 +169,8 @@ Canon canon_of(const sys::TlbConfig& config) {
   return c;
 }
 
+static_assert(sizeof(sys::SystemConfig) == 264,
+              "add the new SystemConfig field to canon_of");
 Canon canon_of(const sys::SystemConfig& config) {
   Canon c;
   c.field("freq_ghz", config.freq_ghz);
@@ -183,6 +192,8 @@ Canon canon_of(const sys::SystemConfig& config) {
   return c;
 }
 
+static_assert(sizeof(graph::MultiprogConfig) == 288,
+              "add the new MultiprogConfig field to canon_of");
 Canon canon_of(const graph::MultiprogConfig& config) {
   Canon c;
   c.object("system", canon_of(config.system));
@@ -192,6 +203,8 @@ Canon canon_of(const graph::MultiprogConfig& config) {
   return c;
 }
 
+static_assert(sizeof(fault::FaultConfig) == 40,
+              "add the new FaultConfig field to canon_of");
 Canon canon_of(const fault::FaultConfig& config) {
   Canon c;
   c.field("kind", to_string(config.kind));

@@ -36,7 +36,7 @@ namespace impact::store {
 /// Bumped whenever a change alters simulation semantics (timing model,
 /// replay order, defaults folded into results): every fingerprint embeds
 /// it, so a bump invalidates all previously cached records at once.
-inline constexpr std::uint32_t kSchemaVersion = 1;
+inline constexpr std::uint32_t kSchemaVersion = 2;
 
 struct Fingerprint {
   std::uint64_t hi = 0;
@@ -60,9 +60,7 @@ class Canon {
  public:
   /// `schema_salt` defaults to kSchemaVersion; tests inject other salts to
   /// pin the invalidation behaviour. The salt participates as a hidden
-  /// "__schema" field, and "__obs" records whether the telemetry spine is
-  /// compiled in (cached records embed obs::Snapshots, whose content
-  /// depends on it).
+  /// "__schema" field.
   explicit Canon(std::uint32_t schema_salt = kSchemaVersion);
 
   void field(std::string_view name, std::uint64_t value);
@@ -93,8 +91,8 @@ class Canon {
 
 // Canonical serializations of the config structs that determine cell
 // outputs. Every field participates; adding a struct field without adding
-// it here silently aliases configs, so each helper carries a static_assert
-// -adjacent comment and the golden-fingerprint test pins the full shape.
+// it here would silently alias configs, so a static_assert on each
+// struct's size beside its helper fails the build until the field is added.
 [[nodiscard]] Canon canon_of(const dram::TimingParams& timing);
 [[nodiscard]] Canon canon_of(const dram::DramConfig& config);
 [[nodiscard]] Canon canon_of(const sys::TlbConfig& config);

@@ -44,15 +44,21 @@ struct Reader {
     return true;
   }
 
+  /// A decimal in put_u64's form: no leading zero, no overflow.
   std::uint64_t u64() {
     if (!ok) return 0;
     std::uint64_t v = 0;
     std::size_t i = 0;
     while (i < in.size() && in[i] >= '0' && in[i] <= '9') {
-      v = v * 10 + static_cast<std::uint64_t>(in[i] - '0');
+      const auto digit = static_cast<std::uint64_t>(in[i] - '0');
+      if (v > (~0ull - digit) / 10) {
+        fail();
+        return 0;
+      }
+      v = v * 10 + digit;
       ++i;
     }
-    if (i == 0) {
+    if (i == 0 || (i > 1 && in[0] == '0')) {
       fail();
       return 0;
     }
@@ -93,6 +99,15 @@ struct Reader {
     std::string s(in.substr(0, n));
     in.remove_prefix(n);
     return s;
+  }
+
+  /// serialize() writes each section's names in map order, so a name
+  /// that does not sort after the section's previous one is rejected.
+  template <typename Map>
+  std::string key_after(const Map& section) {
+    std::string name = str();
+    if (ok && !section.empty() && !(section.rbegin()->first < name)) fail();
+    return name;
   }
 
   bool fail() {
@@ -178,7 +193,7 @@ std::optional<Record> parse(std::string_view bytes) {
   r.literal("\n");
   for (std::uint64_t i = 0; r.ok && i < n_counters; ++i) {
     r.literal("c ");
-    std::string name = r.str();
+    std::string name = r.key_after(rec.snapshot.counters);
     r.literal(" ");
     const std::uint64_t value = r.u64();
     r.literal("\n");
@@ -189,7 +204,7 @@ std::optional<Record> parse(std::string_view bytes) {
   r.literal("\n");
   for (std::uint64_t i = 0; r.ok && i < n_gauges; ++i) {
     r.literal("g ");
-    std::string name = r.str();
+    std::string name = r.key_after(rec.snapshot.gauges);
     r.literal(" ");
     const double value = r.f64();
     r.literal("\n");
@@ -200,7 +215,7 @@ std::optional<Record> parse(std::string_view bytes) {
   r.literal("\n");
   for (std::uint64_t i = 0; r.ok && i < n_dists; ++i) {
     r.literal("d ");
-    std::string name = r.str();
+    std::string name = r.key_after(rec.snapshot.dists);
     r.literal(" ");
     const double lo = r.f64();
     r.literal(" ");
@@ -211,7 +226,9 @@ std::optional<Record> parse(std::string_view bytes) {
     const std::uint64_t underflow = r.u64();
     r.literal(" ");
     const std::uint64_t overflow = r.u64();
-    if (!r.ok || bins == 0 || bins > (1ull << 24) || !(hi > lo)) {
+    // Each bin takes at least two bytes (" 0"), which bounds the
+    // allocation by the input's size.
+    if (!r.ok || bins == 0 || bins > r.in.size() / 2 || !(hi > lo)) {
       return std::nullopt;
     }
     std::vector<std::size_t> counts(bins, 0);

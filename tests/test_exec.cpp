@@ -196,8 +196,7 @@ TEST(SweepCache, HitLeavesSnapshotSlotEmptyButValid) {
     const auto miss = sweep.add_cached(
         "miss",
         [] {
-          // Touch the obs spine so the miss cell's snapshot is non-empty
-          // when telemetry is compiled in.
+          // Touch the obs spine so the miss cell's snapshot is non-empty.
           if (auto c = obs::counter("exec_test.cache_cells")) c.add(1);
         },
         {[] { return false; }, {}});
@@ -208,9 +207,7 @@ TEST(SweepCache, HitLeavesSnapshotSlotEmptyButValid) {
     // double-counted telemetry.
     ASSERT_EQ(report.snapshots.size(), 2u);
     EXPECT_TRUE(report.snapshots[hit].empty());
-    if (obs::kCompiled) {
-      EXPECT_EQ(report.snapshots[miss].counter("exec_test.cache_cells"), 1u);
-    }
+    EXPECT_EQ(report.snapshots[miss].counter("exec_test.cache_cells"), 1u);
     // Merging across hit and miss slots must work without special-casing.
     obs::Snapshot total = report.snapshots[hit];
     total.merge(report.snapshots[miss]);

@@ -3,8 +3,11 @@
 // Context, renderer golden byte-identity against synthetic grids (the
 // rendering half of the old drivers, pinned without simulating), and the
 // cell-count pins `impact describe` reports.
+#include <cstdlib>
+#include <iterator>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -14,6 +17,7 @@
 #include "lab/driver.hpp"
 #include "lab/experiments.hpp"
 #include "lab/registry.hpp"
+#include "util/rng.hpp"
 
 namespace {
 
@@ -126,6 +130,46 @@ TEST(LabArgs, UnknownFlagAndSurplusPositionalRejected) {
   EXPECT_EQ(impact::lab::impact_main(4, run_json), 2);
 }
 
+// Deterministic fuzzing of parse_args over argv drawn from a token
+// alphabet: every argv is either accepted with a thread count in range
+// or rejected with an error message.
+TEST(LabArgs, RandomArgvIsAcceptedInRangeOrRejectedWithAnError) {
+  const ExperimentSpec toy = toy_spec();
+  const ExperimentSpec* quickstart = builtin().find("quickstart");
+  ASSERT_NE(quickstart, nullptr);  // Declares the `trace` parameter.
+  const std::string_view kTokens[] = {
+      "--threads", "--smoke", "--trace", "--filter", "--param", "--banks",
+      "=",         "0",       "1",       "4",        "256",     "257",
+      "-1",        "banks=8", "trace=x", "--",       "-",       "",
+      "junk",      "99999999999999999999"};
+  impact::util::Xoshiro256 rng(0xa9c5);
+  const auto token = [&] { return kTokens[rng.below(std::size(kTokens))]; };
+  std::size_t accepted = 0;
+  for (int iteration = 0; iteration < 3000; ++iteration) {
+    std::vector<std::string> words = {"impact"};
+    const std::uint64_t count = rng.below(6);
+    for (std::uint64_t i = 0; i < count; ++i) {
+      std::string word(token());
+      // Glue more tokens on sometimes: "--threads=257", "4junk", ...
+      while (rng.below(3) == 0) word += token();
+      words.push_back(std::move(word));
+    }
+    std::vector<const char*> argv;
+    for (const std::string& w : words) argv.push_back(w.c_str());
+    const ExperimentSpec& spec = rng.below(2) == 0 ? toy : *quickstart;
+    Args args;
+    std::string error;
+    if (parse_args(spec, static_cast<int>(argv.size()), argv.data(), args,
+                   error)) {
+      ++accepted;
+      EXPECT_LE(args.threads, 256u) << "iteration " << iteration;
+    } else {
+      EXPECT_FALSE(error.empty()) << "iteration " << iteration;
+    }
+  }
+  EXPECT_GT(accepted, 0u);
+}
+
 TEST(LabContext, ParamOverrideRoundTrip) {
   const ExperimentSpec spec = toy_spec();
 
@@ -182,9 +226,8 @@ TEST(LabRender, Fig11GoldenBytes) {
       cell.stats.row_hit_rate = 0.5 + 0.05 * static_cast<double>(w);
     }
   }
-  // Snapshots stay empty, so the rendering is identical with and without
-  // the obs spine (-DIMPACT_OBS=OFF) and the grid-totals section is
-  // skipped.
+  // Snapshots stay empty, so every row comes from the cells' RunStats and
+  // the grid-totals section is skipped.
   const std::string golden =
       R"(| workload | MPKI  | row-hit rate | open-row (cyc) | CRP overhead | CTD overhead | adaptive overhead (ext.) |
 |----------|-------|--------------|----------------|--------------|--------------|--------------------------|
@@ -222,6 +265,26 @@ frame; the inner code under the framed layer absorbs isolated flips
 and keeps the retry budget for the bursts.
 )";
   EXPECT_EQ(impact::lab::render_ablation_faults(rows), golden);
+}
+
+// sweep_scaling echoes the raw IMPACT_THREADS value into its JSON line;
+// a quote in it must come out escaped, or the line is not JSON.
+TEST(LabSweepScaling, EnvironmentEchoIsEscapedJson) {
+  const char* saved = std::getenv("IMPACT_THREADS");
+  const std::string restore = saved != nullptr ? saved : "";
+  ASSERT_EQ(setenv("IMPACT_THREADS", "2\"x", 1), 0);
+  const char* argv[] = {"impact", "run", "sweep_scaling", "--smoke"};
+  testing::internal::CaptureStdout();
+  const int rc = impact::lab::impact_main(4, argv);
+  const std::string out = testing::internal::GetCapturedStdout();
+  if (saved != nullptr) {
+    setenv("IMPACT_THREADS", restore.c_str(), 1);
+  } else {
+    unsetenv("IMPACT_THREADS");
+  }
+  EXPECT_EQ(rc, 0);
+  EXPECT_NE(out.find(R"("impact_threads_env":"2\"x")"), std::string::npos)
+      << out;
 }
 
 // ---------------------------------------------------------------------

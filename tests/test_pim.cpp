@@ -196,10 +196,8 @@ TEST_F(PeiTest, ExecuteBatchMatchesScalarLoop) {
     EXPECT_EQ(batch.snapshot.counter(name), scalar.snapshot.counter(name))
         << name;
   }
-  if (obs::kCompiled) {
-    EXPECT_EQ(scalar.snapshot.counter("pim.pei.ops"), scalar.results.size());
-    EXPECT_EQ(scalar.snapshot.counter("pim.pei.host_side"), host);
-  }
+  EXPECT_EQ(scalar.snapshot.counter("pim.pei.ops"), scalar.results.size());
+  EXPECT_EQ(scalar.snapshot.counter("pim.pei.host_side"), host);
 }
 
 class RowCloneUnitTest : public ::testing::Test {

@@ -18,16 +18,18 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <map>
 #include <memory>
 #include <span>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
-#include "obs/scope.hpp"
 #include "store/cell_runner.hpp"
 #include "util/histogram.hpp"
+#include "util/rng.hpp"
 
 namespace impact {
 namespace {
@@ -306,52 +308,185 @@ TEST(Canon, SchemaSaltBumpInvalidatesEveryFingerprint) {
 // you changed canonicalization (or a config default) in a way that silently
 // re-addresses every cached record — bump store::kSchemaVersion.
 TEST(Canon, GoldenFingerprintPinsCanonicalization) {
-  ASSERT_EQ(store::kSchemaVersion, 1u);
+  ASSERT_EQ(store::kSchemaVersion, 2u);
   const auto fp = store::matrix_cell_fingerprint(
       graph::MultiprogConfig{}, graph::WorkloadKind::kBFS,
       dram::RowPolicy::kOpenRow);
-  if (obs::kCompiled) {
-    EXPECT_EQ(fp.hex(), "b1e2ac3b4c39e9041b49caa9e2d493c1");
-  } else {
-    EXPECT_EQ(fp.hex(), "a7101959bef692fca84e969c6c33143d");
-  }
+  EXPECT_EQ(fp.hex(), "3e29ce83e1a030d7abdcfdc57f02a62e");
 }
 
+/// One field of a config struct, changed to a value its default is not.
+template <typename Config>
+struct FieldChange {
+  const char* field;
+  void (*apply)(Config&);
+};
+
+/// Every field of sys::SystemConfig and of the structs nested in it
+/// (DramConfig, TimingParams, TlbConfig, TimerConfig, DmaConfig).
+const FieldChange<sys::SystemConfig> kSystemFields[] = {
+    {"freq_ghz", [](sys::SystemConfig& s) { s.freq_ghz = 3.0; }},
+    {"cores", [](sys::SystemConfig& s) { s.cores = 8; }},
+    {"dram.channels", [](sys::SystemConfig& s) { s.dram.channels = 2; }},
+    {"dram.ranks", [](sys::SystemConfig& s) { s.dram.ranks = 2; }},
+    {"dram.banks_per_rank",
+     [](sys::SystemConfig& s) { s.dram.banks_per_rank = 8; }},
+    {"dram.rows_per_bank",
+     [](sys::SystemConfig& s) { s.dram.rows_per_bank = 32768; }},
+    {"dram.row_bytes", [](sys::SystemConfig& s) { s.dram.row_bytes = 4096; }},
+    {"dram.subarray_rows",
+     [](sys::SystemConfig& s) { s.dram.subarray_rows = 256; }},
+    {"dram.policy",
+     [](sys::SystemConfig& s) { s.dram.policy = dram::RowPolicy::kClosedRow; }},
+    {"dram.timing.trcd_ns",
+     [](sys::SystemConfig& s) { s.dram.timing.trcd_ns += 1.0; }},
+    {"dram.timing.trp_ns",
+     [](sys::SystemConfig& s) { s.dram.timing.trp_ns += 1.0; }},
+    {"dram.timing.tras_ns",
+     [](sys::SystemConfig& s) { s.dram.timing.tras_ns += 1.0; }},
+    {"dram.timing.tcas_ns",
+     [](sys::SystemConfig& s) { s.dram.timing.tcas_ns += 1.0; }},
+    {"dram.timing.tbl_ns",
+     [](sys::SystemConfig& s) { s.dram.timing.tbl_ns += 1.0; }},
+    {"dram.timing.row_timeout_ns",
+     [](sys::SystemConfig& s) { s.dram.timing.row_timeout_ns += 1.0; }},
+    {"dram.timing.rowclone_fpm_ns",
+     [](sys::SystemConfig& s) { s.dram.timing.rowclone_fpm_ns += 1.0; }},
+    {"dram.timing.timeout_mode",
+     [](sys::SystemConfig& s) {
+       s.dram.timing.timeout_mode = dram::RowTimeoutMode::kIdlePrecharge;
+     }},
+    {"dram.timing.trefi_ns",
+     [](sys::SystemConfig& s) { s.dram.timing.trefi_ns = 7800.0; }},
+    {"dram.timing.trfc_ns",
+     [](sys::SystemConfig& s) { s.dram.timing.trfc_ns += 1.0; }},
+    {"dram.freq",
+     [](sys::SystemConfig& s) { s.dram.freq = util::Frequency{3.2}; }},
+    {"mapping",
+     [](sys::SystemConfig& s) {
+       s.mapping = dram::MappingScheme::kXorBankHash;
+     }},
+    {"llc_bytes", [](sys::SystemConfig& s) { s.llc_bytes *= 2; }},
+    {"llc_ways", [](sys::SystemConfig& s) { s.llc_ways = 8; }},
+    {"cache_scale", [](sys::SystemConfig& s) { s.cache_scale *= 2; }},
+    {"prefetchers", [](sys::SystemConfig& s) { s.prefetchers = false; }},
+    {"tlb.l1.entries", [](sys::SystemConfig& s) { s.tlb.l1.entries *= 2; }},
+    {"tlb.l1.ways", [](sys::SystemConfig& s) { s.tlb.l1.ways *= 2; }},
+    {"tlb.l1.latency", [](sys::SystemConfig& s) { s.tlb.l1.latency += 1; }},
+    {"tlb.l1_huge.entries",
+     [](sys::SystemConfig& s) { s.tlb.l1_huge.entries *= 2; }},
+    {"tlb.l1_huge.ways",
+     [](sys::SystemConfig& s) { s.tlb.l1_huge.ways *= 2; }},
+    {"tlb.l1_huge.latency",
+     [](sys::SystemConfig& s) { s.tlb.l1_huge.latency += 1; }},
+    {"tlb.l2.entries", [](sys::SystemConfig& s) { s.tlb.l2.entries *= 2; }},
+    {"tlb.l2.ways", [](sys::SystemConfig& s) { s.tlb.l2.ways *= 2; }},
+    {"tlb.l2.latency", [](sys::SystemConfig& s) { s.tlb.l2.latency += 1; }},
+    {"tlb.walk_latency",
+     [](sys::SystemConfig& s) { s.tlb.walk_latency += 1; }},
+    {"tlb.page_bits", [](sys::SystemConfig& s) { s.tlb.page_bits += 1; }},
+    {"tlb.huge_page_bits",
+     [](sys::SystemConfig& s) { s.tlb.huge_page_bits += 1; }},
+    {"timer.rdtscp_cost",
+     [](sys::SystemConfig& s) { s.timer.rdtscp_cost += 1; }},
+    {"timer.cpuid_cost",
+     [](sys::SystemConfig& s) { s.timer.cpuid_cost += 1; }},
+    {"dma.per_transfer_overhead",
+     [](sys::SystemConfig& s) { s.dma.per_transfer_overhead += 1; }},
+    {"seed", [](sys::SystemConfig& s) { s.seed += 1; }},
+};
+
+/// MultiprogConfig's own fields; `system` is covered by kSystemFields.
+const FieldChange<graph::MultiprogConfig> kGraphFields[] = {
+    {"graph_seed", [](graph::MultiprogConfig& c) { c.graph_seed += 1; }},
+    {"rmat_scale", [](graph::MultiprogConfig& c) { c.rmat_scale += 1; }},
+    {"edge_count", [](graph::MultiprogConfig& c) { c.edge_count += 1; }},
+};
+
+const FieldChange<fault::FaultConfig> kFaultFields[] = {
+    {"kind",
+     [](fault::FaultConfig& f) { f.kind = fault::FaultKind::kClockDrift; }},
+    {"probability", [](fault::FaultConfig& f) { f.probability += 0.01; }},
+    {"magnitude", [](fault::FaultConfig& f) { f.magnitude += 1; }},
+    {"window_begin", [](fault::FaultConfig& f) { f.window_begin += 1; }},
+    {"window_end", [](fault::FaultConfig& f) { f.window_end -= 1; }},
+};
+
+/// Collects fingerprints and reports the first field whose fingerprint
+/// equals an earlier one (the unchanged reference included).
+class DistinctFingerprints {
+ public:
+  void add(const std::string& field, const store::Fingerprint& fp) {
+    const auto [it, inserted] = seen_.emplace(fp, field);
+    EXPECT_TRUE(inserted) << field << " aliases " << it->second;
+  }
+
+ private:
+  std::map<store::Fingerprint, std::string> seen_;
+};
+
+// Flips every field of each config struct in turn: each must change the
+// cell fingerprint, and no two changes may give the same one.
 TEST(CanonOf, EveryInputChangeChangesTheFingerprint) {
   const graph::MultiprogConfig base = tiny_config();
   const auto fp = [](const graph::MultiprogConfig& c) {
     return store::matrix_cell_fingerprint(c, graph::WorkloadKind::kBFS,
                                           dram::RowPolicy::kOpenRow);
   };
-  const store::Fingerprint reference = fp(base);
-
-  graph::MultiprogConfig seed = base;
-  seed.graph_seed = 100;
-  EXPECT_NE(fp(seed), reference);
-
-  graph::MultiprogConfig scale = base;
-  scale.rmat_scale = 11;
-  EXPECT_NE(fp(scale), reference);
-
-  graph::MultiprogConfig edges = base;
-  edges.edge_count = 8193;
-  EXPECT_NE(fp(edges), reference);
-
-  graph::MultiprogConfig system = base;
-  system.system.cache_scale = 4096;
-  EXPECT_NE(fp(system), reference);
-
-  graph::MultiprogConfig timing = base;
-  timing.system.dram.timing.trp_ns += 1.0;
-  EXPECT_NE(fp(timing), reference);
-
+  DistinctFingerprints cells;
+  cells.add("(unchanged)", fp(base));
+  for (const auto& change : kSystemFields) {
+    graph::MultiprogConfig config = base;
+    change.apply(config.system);
+    cells.add(std::string("system.") + change.field, fp(config));
+  }
+  for (const auto& change : kGraphFields) {
+    graph::MultiprogConfig config = base;
+    change.apply(config);
+    cells.add(change.field, fp(config));
+  }
   // Workload and policy.
-  EXPECT_NE(store::matrix_cell_fingerprint(base, graph::WorkloadKind::kPR,
-                                           dram::RowPolicy::kOpenRow),
-            reference);
-  EXPECT_NE(store::matrix_cell_fingerprint(base, graph::WorkloadKind::kBFS,
-                                           dram::RowPolicy::kClosedRow),
-            reference);
+  cells.add("workload",
+            store::matrix_cell_fingerprint(base, graph::WorkloadKind::kPR,
+                                           dram::RowPolicy::kOpenRow));
+  cells.add("policy",
+            store::matrix_cell_fingerprint(base, graph::WorkloadKind::kBFS,
+                                           dram::RowPolicy::kClosedRow));
+
+  const fault::FaultConfig fault{fault::FaultKind::kDramJitter, 0.01, 400,
+                                 0, ~0ull};
+  DistinctFingerprints faults;
+  faults.add("(unchanged)", store::canon_of(fault).fingerprint());
+  for (const auto& change : kFaultFields) {
+    fault::FaultConfig changed = fault;
+    change.apply(changed);
+    faults.add(change.field, store::canon_of(changed).fingerprint());
+  }
+}
+
+// A workload input depends on the graph fields and the kernel only, so
+// every policy and system variant of a grid shares one build.
+TEST(WorkloadFingerprint, CoversTheGraphInputsAndNothingInSystem) {
+  const graph::MultiprogConfig base = tiny_config();
+  const store::Fingerprint reference =
+      store::workload_fingerprint(base, graph::WorkloadKind::kBFS);
+  DistinctFingerprints inputs;
+  inputs.add("(unchanged)", reference);
+  for (const auto& change : kGraphFields) {
+    graph::MultiprogConfig config = base;
+    change.apply(config);
+    inputs.add(change.field,
+               store::workload_fingerprint(config, graph::WorkloadKind::kBFS));
+  }
+  inputs.add("kind",
+             store::workload_fingerprint(base, graph::WorkloadKind::kPR));
+  for (const auto& change : kSystemFields) {
+    graph::MultiprogConfig config = base;
+    change.apply(config.system);
+    EXPECT_EQ(store::workload_fingerprint(config, graph::WorkloadKind::kBFS),
+              reference)
+        << "system." << change.field;
+  }
 }
 
 TEST(CanonOf, FaultProfilesAreOrderSensitiveAndValueSensitive) {
@@ -412,9 +547,75 @@ TEST(Record, ParseRejectsCorruption) {
   }
   // Trailing garbage is rejected too: records are exact, not prefixed.
   EXPECT_FALSE(store::parse(bytes + "x").has_value());
+  const auto replaced = [&](std::string_view from, std::string_view to) {
+    std::string out = bytes;
+    const std::size_t at = out.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    return out.replace(at, from.size(), to);
+  };
+  // A leading zero, and a value past 2^64 - 1.
+  EXPECT_FALSE(store::parse(replaced(" 1234\n", " 01234\n")).has_value());
+  EXPECT_FALSE(store::parse(replaced(" 1234\n", " 18446744073709551616\n"))
+                   .has_value());
+  EXPECT_TRUE(store::parse(replaced(" 1234\n", " 18446744073709551615\n"))
+                  .has_value());
+  // Counter names out of order, and a duplicate.
+  EXPECT_FALSE(store::parse(replaced("graph.replay.accesses",
+                                     "graph.replay.zccesses"))
+                   .has_value());
+  EXPECT_FALSE(store::parse(replaced("21:graph.replay.accesses 1234",
+                                     "25:graph.replay.instructions 1234"))
+                   .has_value());
   // A flipped fingerprint digit parses (it is still well-formed); the
   // cache layer catches the fp mismatch instead — see
   // ResultCache.CorruptDiskRecordDegradesToMiss.
+}
+
+// Deterministic mutation fuzzing of the record parser: byte flips,
+// inserts, deletes and truncations of a valid record, drawn from a fixed
+// seed. parse() must never crash, and a record it accepts must be the
+// canonical encoding of what it returns: serialize(parse(b)) == b.
+TEST(Record, MutatedRecordsAreRejectedOrCanonical) {
+  const std::string valid = store::serialize(sample_record());
+  // Half the new bytes come from the record's own alphabet, so edits
+  // often keep a field well-formed and reach the parser's deeper checks.
+  constexpr std::string_view kAlphabet = "0123456789abcdef :\ncgd";
+  util::Xoshiro256 rng(0x5eed);
+  const auto some_byte = [&] {
+    return rng.below(2) == 0
+               ? kAlphabet[rng.below(kAlphabet.size())]
+               : static_cast<char>(rng.below(256));
+  };
+  std::size_t accepted = 0;
+  for (int iteration = 0; iteration < 4000; ++iteration) {
+    std::string bytes = valid;
+    const std::uint64_t edits = 1 + rng.below(3);
+    for (std::uint64_t e = 0; e < edits && !bytes.empty(); ++e) {
+      const std::size_t at = rng.below(bytes.size());
+      switch (rng.below(4)) {
+        case 0:  // Flip: replace the byte with a different one.
+          bytes[at] = static_cast<char>(bytes[at] ^ (1 + rng.below(255)));
+          break;
+        case 1:
+          bytes.insert(bytes.begin() + static_cast<std::ptrdiff_t>(at),
+                       some_byte());
+          break;
+        case 2:
+          bytes.erase(at, 1);
+          break;
+        default:
+          bytes.resize(at);
+          break;
+      }
+    }
+    const auto parsed = store::parse(bytes);
+    if (!parsed.has_value()) continue;
+    ++accepted;
+    ASSERT_EQ(store::serialize(*parsed), bytes) << "iteration " << iteration;
+  }
+  // Edits inside the label's text or the fingerprint's digits keep the
+  // record valid, so some mutants must have been accepted and compared.
+  EXPECT_GT(accepted, 0u);
 }
 
 TEST(Record, RunStatsCodecRoundTripsBitwise) {
@@ -660,10 +861,8 @@ TEST(CellRunner, ColdSnapshotsMatchSerialOnAPoolAndPassVerify) {
             << "cell " << w << "," << p << " at " << threads << " thread(s)";
         EXPECT_EQ(cell.snapshot.counters, want.cells[w][p].snapshot.counters)
             << "cell " << w << "," << p << " at " << threads << " thread(s)";
-        if (obs::kCompiled) {
-          EXPECT_GT(cell.snapshot.counter("cache.l1.hits"), 0u);
-          EXPECT_GT(cell.snapshot.counter("tlb.accesses"), 0u);
-        }
+        EXPECT_GT(cell.snapshot.counter("cache.l1.hits"), 0u);
+        EXPECT_GT(cell.snapshot.counter("tlb.accesses"), 0u);
       }
     }
 

@@ -1,11 +1,14 @@
-// Unit tests: util (rng, stats, bitvec, histogram, table, units).
+// Unit tests: util (rng, stats, bitvec, histogram, table, units, JSON
+// escaping).
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <set>
+#include <string_view>
 
 #include "util/bitvec.hpp"
 #include "util/histogram.hpp"
+#include "util/json.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
@@ -239,6 +242,16 @@ TEST(Table, RendersAlignedColumns) {
 TEST(Table, NumFormatting) {
   EXPECT_EQ(Table::num(3.14159, 2), "3.14");
   EXPECT_EQ(Table::num(5, 0), "5");
+}
+
+TEST(JsonEscape, EscapesQuotesBackslashesAndControlCharacters) {
+  EXPECT_EQ(json_escape(""), "");
+  EXPECT_EQ(json_escape("plain text/é"), "plain text/é");
+  EXPECT_EQ(json_escape("ACT \"row\"\\"), "ACT \\\"row\\\"\\\\");
+  EXPECT_EQ(json_escape("drop\nline\ttab"), "drop\\nline\\ttab");
+  EXPECT_EQ(json_escape(std::string_view("\x01\x1f\0", 3)),
+            "\\u0001\\u001f\\u0000");
+  EXPECT_EQ(json_escape("2\"x"), "2\\\"x");
 }
 
 }  // namespace

@@ -120,32 +120,6 @@ if [ $? -ne 0 ]; then
   exit 1
 fi
 
-# --- Obs-disabled reference (full runs only) ----------------------------
-# A second build with the telemetry spine compiled out (-DIMPACT_OBS=OFF)
-# quantifies what the "one branch on a cached null handle" fast path costs:
-# the baseline file records both, and docs/observability.md points here.
-# Smoke runs skip it — the committed obs-ON numbers are the regression gate.
-if [ "${SMOKE}" -eq 0 ]; then
-  NOOBS_DIR="${BUILD_DIR}-noobs"
-  cmake -S "${ROOT}" -B "${NOOBS_DIR}" \
-    -DCMAKE_BUILD_TYPE="${BENCH_BUILD_TYPE}" -DIMPACT_SANITIZE="" \
-    -DIMPACT_OBS=OFF > /dev/null \
-    && cmake --build "${NOOBS_DIR}" -j "${JOBS}" --target impact_cli
-  if [ $? -ne 0 ]; then
-    echo "bench: obs-disabled build failed" >&2
-    exit 1
-  fi
-  "${NOOBS_DIR}/apps/impact" run "${MICRO_NAME}" \
-    --benchmark_format=json \
-    --benchmark_min_time=${MIN_TIME} \
-    --benchmark_repetitions=3 \
-    > "${TMP_DIR}/micro_noobs.json"
-  if [ $? -ne 0 ]; then
-    echo "bench: obs-disabled ${MICRO_NAME} failed" >&2
-    exit 1
-  fi
-fi
-
 # --- JSON-emitting perf experiments (sweep_scaling, bench_store, ...) ---
 # Each prints one JSON object to stdout and exits nonzero on any internal
 # bit-identity violation; the object is stored under its role as key.
@@ -211,11 +185,6 @@ if sweep:
               "scaling_valid=false (not a headline number)", file=sys.stderr)
     else:
         sweep["headline_speedup"] = sweep.get("speedup")
-micro_noobs = None
-noobs_path = os.path.join(tmp, "micro_noobs.json")
-if os.path.exists(noobs_path):
-    with open(noobs_path) as f:
-        micro_noobs = json.load(f)
 
 result = {
     "generated_by": "tools/bench.sh",
@@ -255,10 +224,6 @@ def best_of(run):
     return out
 
 result["benchmarks"] = best_of(micro)
-if micro_noobs is not None:
-    # Same benchmarks from the -DIMPACT_OBS=OFF build: the measured cost
-    # of the compiled-in (but scope-less) instrumentation fast path.
-    result["obs_disabled_benchmarks"] = best_of(micro_noobs)
 
 if not smoke:
     with open(baseline_path, "w") as f:

@@ -130,18 +130,4 @@ class Sweep {
   bool capture_ = false;
 };
 
-/// Maps i -> fn(i) for i in [0, n) into an index-ordered vector, using the
-/// pool when it helps. The per-index results must be independent; output
-/// order (and content) never depends on the schedule.
-template <typename T, typename Fn>
-std::vector<T> parallel_map(ThreadPool* pool, std::size_t n, Fn&& fn) {
-  std::vector<T> out(n);
-  if (pool == nullptr || pool->size() <= 1 || n <= 1) {
-    for (std::size_t i = 0; i < n; ++i) out[i] = fn(i);
-  } else {
-    pool->for_each_index(n, [&](std::size_t i) { out[i] = fn(i); });
-  }
-  return out;
-}
-
 }  // namespace impact::exec

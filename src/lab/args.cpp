@@ -71,10 +71,6 @@ bool parse_args(const ExperimentSpec& spec, int argc, const char* const* argv,
 
     if (flag == "--smoke" && !has_inline) {
       out.smoke = true;
-    } else if (flag == "--filter") {
-      std::string_view value;
-      if (!take_value(value)) return false;
-      out.filter = std::string(value);
     } else if (flag == "--threads") {
       std::string_view value;
       if (!take_value(value)) return false;

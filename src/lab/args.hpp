@@ -1,6 +1,6 @@
 // The shared command-line vocabulary of `impact run <name> ...`: the
-// three common flags every experiment understands (--smoke, --filter,
-// --threads), declared-parameter overrides (--param k=v or --<name> v for
+// two common flags every experiment understands (--smoke, --threads),
+// declared-parameter overrides (--param k=v or --<name> v for
 // any parameter the experiment's spec declares), positional binding, and
 // an opt-in passthrough lane for specs that wrap an external harness with
 // its own flags (Google Benchmark).
@@ -20,9 +20,6 @@ struct ExperimentSpec;
 struct Args {
   /// Reduced-scale run (CI-friendly).
   bool smoke = false;
-  /// Substring/benchmark filter (`impact list --filter fig`, forwarded
-  /// as --benchmark_filter by the microbench spec).
-  std::string filter;
   /// Worker-thread override; 0 keeps the IMPACT_THREADS/-hardware
   /// default of exec::ThreadPool.
   unsigned threads = 0;
@@ -36,7 +33,7 @@ struct Args {
 /// Parses `argv[1..argc)` against `spec`. Returns false and fills
 /// `error` on the first unknown flag, missing value, undeclared
 /// parameter, or surplus positional argument. Accepted forms:
-///   --smoke --filter V|--filter=V --threads N|--threads=N
+///   --smoke --threads N|--threads=N
 ///   --param k=v|--param=k=v       (k must be declared by the spec)
 ///   --<name> V|--<name>=V         (any declared parameter name)
 ///   bare words                    (bound to spec.positional in order)

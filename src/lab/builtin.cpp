@@ -31,8 +31,7 @@ void register_builtin(Registry& r) {
   register_ablation_sweep(r);
   register_ablation_timeout(r);
   // Harness performance benchmarks.
-  register_sweep_scaling(r);
-  register_store(r);
+  register_grid_perf(r);
   register_simulator_perf(r);
   // Walkthrough examples.
   register_quickstart(r);

@@ -38,8 +38,7 @@ void register_ablation_sweep(Registry& r);
 void register_ablation_timeout(Registry& r);
 
 // Harness performance benchmarks.
-void register_sweep_scaling(Registry& r);
-void register_store(Registry& r);
+void register_grid_perf(Registry& r);
 void register_simulator_perf(Registry& r);
 
 // Walkthrough examples.

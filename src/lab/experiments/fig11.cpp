@@ -7,7 +7,7 @@
 //
 // The grid runs through the content-addressed store::CellRunner: every
 // cell gets its own obs scope, is probed against the ResultCache before
-// simulating (a warm run is pure lookups — see the `store` experiment),
+// simulating (a warm run is pure lookups — see the `grid_perf` experiment),
 // and the table below is rebuilt from the per-cell snapshots (graph.*
 // counters) rather than the tasks' own RunStats — the spine's accounting
 // is the figure. A cell without a snapshot falls back to its RunStats,

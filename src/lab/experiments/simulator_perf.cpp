@@ -285,12 +285,9 @@ BENCHMARK(BM_TlbLookup);
 
 int run_simulator_perf(Context& ctx) {
   // Reassemble an argv for benchmark::Initialize from the passthrough
-  // arguments; --filter maps to --benchmark_filter.
+  // arguments (--benchmark_filter=... and friends).
   std::vector<std::string> args;
   args.emplace_back("bench_simulator_perf");
-  if (!ctx.args().filter.empty()) {
-    args.push_back("--benchmark_filter=" + ctx.args().filter);
-  }
   for (const std::string& a : ctx.args().extra) args.push_back(a);
   std::vector<char*> argv;
   argv.reserve(args.size());

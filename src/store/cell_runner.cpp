@@ -15,7 +15,6 @@ struct CellState {
   Fingerprint fp;
   std::string label;
   std::string verify_stash;  ///< Cached bytes awaiting re-simulation.
-  unsigned char cached = 0;
 };
 
 [[noreturn]] void verify_divergence(const CellState& cell,
@@ -30,6 +29,36 @@ struct CellState {
                cell.label.c_str(), cell.fp.hex().c_str(),
                cell.verify_stash.size(), fresh_bytes.size());
   std::abort();
+}
+
+/// The probe and publish hooks of one cell. `decode(record)` materializes
+/// a cached record into the caller's slot and returns false when the
+/// payload does not decode (a stale codec degrades to a miss);
+/// `encode()` renders the freshly simulated slot as a record payload.
+template <typename Decode, typename Encode>
+exec::CacheHooks cache_hooks(ResultCache& cache, CellState& cell,
+                             Decode decode, Encode encode) {
+  exec::CacheHooks hooks;
+  hooks.probe = [&cache, &cell, decode] {
+    std::string raw;
+    std::optional<Record> rec = cache.lookup(cell.fp, &raw);
+    if (!rec) return false;
+    if (cache.options().verify) {
+      cell.verify_stash = std::move(raw);
+      return false;  // Force a re-simulation; publish compares.
+    }
+    return decode(*rec);
+  };
+  hooks.publish = [&cache, &cell, encode](const obs::Snapshot& snap) {
+    const Record rec{cell.fp, cell.label, encode(), snap};
+    if (!cell.verify_stash.empty()) {
+      const std::string fresh = serialize(rec);
+      if (fresh != cell.verify_stash) verify_divergence(cell, fresh);
+      return;  // Audited identical; the cached copy already exists.
+    }
+    cache.store(rec);
+  };
+  return hooks;
 }
 
 }  // namespace
@@ -89,33 +118,18 @@ CellRunner::MatrixResult CellRunner::defense_matrix(
     for (std::size_t p = 0; p < policies.size(); ++p) {
       CellState& cell = states[w][p];
       MatrixCell& slot = out.cells[w][p];
-      exec::CacheHooks hooks;
-      hooks.probe = [this, verify, &cell, &slot] {
-        std::string raw;
-        std::optional<Record> rec = cache_.lookup(cell.fp, &raw);
-        if (!rec) return false;
-        if (verify) {
-          cell.verify_stash = std::move(raw);
-          return false;  // Force a re-simulation; publish compares.
-        }
-        const std::optional<graph::RunStats> stats =
-            decode_run_stats(rec->payload);
-        if (!stats) return false;  // Stale codec: degrade to a miss.
-        slot.stats = *stats;
-        slot.snapshot = std::move(rec->snapshot);
-        slot.cached = true;
-        cell.cached = 1;
-        return true;
-      };
-      hooks.publish = [this, &cell, &slot](const obs::Snapshot& snap) {
-        const Record rec{cell.fp, cell.label, encode(slot.stats), snap};
-        if (!cell.verify_stash.empty()) {
-          const std::string fresh = serialize(rec);
-          if (fresh != cell.verify_stash) verify_divergence(cell, fresh);
-          return;  // Audited identical; the cached copy already exists.
-        }
-        cache_.store(rec);
-      };
+      exec::CacheHooks hooks = cache_hooks(
+          cache_, cell,
+          [&slot](Record& rec) {
+            const std::optional<graph::RunStats> stats =
+                decode_run_stats(rec.payload);
+            if (!stats) return false;
+            slot.stats = *stats;
+            slot.snapshot = std::move(rec.snapshot);
+            slot.cached = true;
+            return true;
+          },
+          [&slot] { return encode(slot.stats); });
       const graph::WorkloadKind cell_kind = kind;
       const dram::RowPolicy policy = policies[p];
       ids[w][p] = sweep.add_cached(
@@ -150,7 +164,6 @@ CellRunner::RowsResult CellRunner::rows(
     std::string_view sweep_label, std::size_t n,
     const std::function<Fingerprint(std::size_t)>& fingerprint_of,
     const std::function<std::vector<std::string>(std::size_t)>& run) {
-  const bool verify = cache_.options().verify;
   RowsResult out;
   out.rows.resize(n);
 
@@ -164,30 +177,16 @@ CellRunner::RowsResult CellRunner::rows(
         std::string(sweep_label) + "[" + std::to_string(i) + "]";
     std::vector<std::string>& slot = out.rows[i];
 
-    exec::CacheHooks hooks;
-    hooks.probe = [this, verify, &cell, &slot] {
-      std::string raw;
-      std::optional<Record> rec = cache_.lookup(cell.fp, &raw);
-      if (!rec) return false;
-      if (verify) {
-        cell.verify_stash = std::move(raw);
-        return false;
-      }
-      std::optional<std::vector<std::string>> row = decode_row(rec->payload);
-      if (!row) return false;
-      slot = std::move(*row);
-      cell.cached = 1;
-      return true;
-    };
-    hooks.publish = [this, &cell, &slot](const obs::Snapshot& snap) {
-      const Record rec{cell.fp, cell.label, encode_row(slot), snap};
-      if (!cell.verify_stash.empty()) {
-        const std::string fresh = serialize(rec);
-        if (fresh != cell.verify_stash) verify_divergence(cell, fresh);
-        return;
-      }
-      cache_.store(rec);
-    };
+    exec::CacheHooks hooks = cache_hooks(
+        cache_, cell,
+        [&slot](Record& rec) {
+          std::optional<std::vector<std::string>> row =
+              decode_row(rec.payload);
+          if (!row) return false;
+          slot = std::move(*row);
+          return true;
+        },
+        [&slot] { return encode_row(slot); });
     sweep.add_cached(cell.label, [&run, &slot, i] { slot = run(i); },
                      std::move(hooks));
   }

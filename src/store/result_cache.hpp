@@ -1,8 +1,8 @@
 // Content-addressed cache of experiment-cell results.
 //
 // A cell's Fingerprint covers everything that determines its output
-// (configs, seeds, policies, fault profile, schema version, obs build
-// flavor — see store/fingerprint.hpp), so a hit can replace the whole
+// (configs, seeds, policies, fault profile, schema version — see
+// store/fingerprint.hpp), so a hit can replace the whole
 // simulation: two runs with equal fingerprints are bit-identical by
 // construction, and the IMPACT_STORE_VERIFY mode re-simulates hits to
 // prove it.

@@ -1,5 +1,5 @@
 // JSON string escaping for the repository's hand-written JSON output
-// (`impact list --json`, Chrome traces, `sweep_scaling`'s result line).
+// (`impact list --json` and Chrome traces).
 #pragma once
 
 #include <cstdio>

@@ -3,7 +3,6 @@
 // Context, renderer golden byte-identity against synthetic grids (the
 // rendering half of the old drivers, pinned without simulating), and the
 // cell-count pins `impact describe` reports.
-#include <cstdlib>
 #include <iterator>
 #include <stdexcept>
 #include <string>
@@ -51,9 +50,9 @@ ExperimentSpec toy_spec() {
 }
 
 TEST(LabRegistry, BuiltinCatalogueIsCompleteAndSorted) {
-  EXPECT_EQ(builtin().size(), 25u);
+  EXPECT_EQ(builtin().size(), 24u);
   const auto all = builtin().all();
-  ASSERT_EQ(all.size(), 25u);
+  ASSERT_EQ(all.size(), 24u);
   for (std::size_t i = 1; i < all.size(); ++i) {
     EXPECT_LT(all[i - 1]->name, all[i]->name);
   }
@@ -91,14 +90,12 @@ TEST(LabRegistry, RejectsDuplicateEmptyAndBodylessSpecs) {
 
 TEST(LabArgs, CommonFlagsParse) {
   const ExperimentSpec spec = toy_spec();
-  const char* argv[] = {"toy", "--smoke", "--threads", "4",
-                        "--filter", "fig"};
+  const char* argv[] = {"toy", "--smoke", "--threads", "4"};
   Args args;
   std::string error;
-  ASSERT_TRUE(parse_args(spec, 6, argv, args, error)) << error;
+  ASSERT_TRUE(parse_args(spec, 4, argv, args, error)) << error;
   EXPECT_TRUE(args.smoke);
   EXPECT_EQ(args.threads, 4u);
-  EXPECT_EQ(args.filter, "fig");
   EXPECT_TRUE(args.extra.empty());
 }
 
@@ -119,6 +116,14 @@ TEST(LabArgs, UnknownFlagAndSurplusPositionalRejected) {
   error.clear();
   EXPECT_FALSE(parse_args(spec, 3, undeclared, args, error));
   EXPECT_FALSE(error.empty());
+
+  // --filter belongs to `impact list` only; a spec without extra args
+  // rejects it rather than silently ignoring it.
+  const char* filter[] = {"toy", "--filter", "x"};
+  error.clear();
+  EXPECT_FALSE(parse_args(spec, 3, filter, args, error));
+  EXPECT_NE(error.find("unknown flag '--filter'"), std::string::npos)
+      << error;
 
   // --json belongs to `impact list` only; `impact run` rejects it as an
   // unknown flag (exit 2) before the experiment starts.
@@ -267,24 +272,21 @@ and keeps the retry budget for the bursts.
   EXPECT_EQ(impact::lab::render_ablation_faults(rows), golden);
 }
 
-// sweep_scaling echoes the raw IMPACT_THREADS value into its JSON line;
-// a quote in it must come out escaped, or the line is not JSON.
-TEST(LabSweepScaling, EnvironmentEchoIsEscapedJson) {
-  const char* saved = std::getenv("IMPACT_THREADS");
-  const std::string restore = saved != nullptr ? saved : "";
-  ASSERT_EQ(setenv("IMPACT_THREADS", "2\"x", 1), 0);
-  const char* argv[] = {"impact", "run", "sweep_scaling", "--smoke"};
+// grid_perf runs the Fig. 11 grid cold serial, cold on a pool and warm
+// twice from the cache; every phase must match the serial reference
+// byte for byte, and both warm phases must be pure cache hits.
+TEST(LabGridPerf, SmokeRunIsBitIdenticalAndFullyWarm) {
+  const char* argv[] = {"impact", "run", "grid_perf", "--smoke", "--threads",
+                        "2"};
   testing::internal::CaptureStdout();
-  const int rc = impact::lab::impact_main(4, argv);
+  const int rc = impact::lab::impact_main(6, argv);
   const std::string out = testing::internal::GetCapturedStdout();
-  if (saved != nullptr) {
-    setenv("IMPACT_THREADS", restore.c_str(), 1);
-  } else {
-    unsetenv("IMPACT_THREADS");
-  }
   EXPECT_EQ(rc, 0);
-  EXPECT_NE(out.find(R"("impact_threads_env":"2\"x")"), std::string::npos)
-      << out;
+  ASSERT_FALSE(out.empty());
+  EXPECT_EQ(out.find('\n'), out.size() - 1) << "one JSON line: " << out;
+  EXPECT_NE(out.find(R"("cells_identical":true)"), std::string::npos) << out;
+  EXPECT_NE(out.find(R"("hit_rate":1.0000)"), std::string::npos) << out;
+  EXPECT_NE(out.find(R"("verify":false)"), std::string::npos) << out;
 }
 
 // ---------------------------------------------------------------------
@@ -301,8 +303,7 @@ TEST(LabSpecs, CellCountPins) {
       {"table1", 5},           // attack primitives
       {"ablation_faults", 5},  // fault scales
       {"ablation_sweep", 26},  // five sub-sweeps: 5+5+3+7+6
-      {"sweep_scaling", 15},   // 5 workloads x 3 policies
-      {"store", 20},           // 5 workloads x 4 policies
+      {"grid_perf", 20},       // 5 workloads x 4 policies
   };
   for (const auto& pin : kPins) {
     const ExperimentSpec* spec = builtin().find(pin.name);

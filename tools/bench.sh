@@ -10,8 +10,10 @@
 # participates —
 #   * role "micro"  — the google-benchmark microbench harness (items/sec)
 #   * any other role — a JSON-emitting perf experiment; its stdout object
-#     lands in BENCH_simulator.json under the role as key (currently
-#     sweep_scaling and bench_store)
+#     lands in BENCH_simulator.json under the role as key. The role
+#     grid_perf (the Fig. 11 grid cold serial, cold parallel and warm) is
+#     required: its identity, hit-rate and 10x warm gates must not be
+#     skipped silently.
 # docs/performance.md explains how to read and refresh the baseline file.
 #
 # Usage: tools/bench.sh [--smoke] [build-dir]     (default: build)
@@ -120,7 +122,7 @@ if [ $? -ne 0 ]; then
   exit 1
 fi
 
-# --- JSON-emitting perf experiments (sweep_scaling, bench_store, ...) ---
+# --- JSON-emitting perf experiments (grid_perf, ...) ---------------------
 # Each prints one JSON object to stdout and exits nonzero on any internal
 # bit-identity violation; the object is stored under its role as key.
 RUN_ARGS=()
@@ -159,8 +161,13 @@ role_results = {}
 for role in roles:
     with open(os.path.join(tmp, role + ".json")) as f:
         role_results[role] = json.load(f)
-sweep = role_results.get("sweep_scaling", {})
-store = role_results.get("bench_store", {})
+# The Fig. 11 harness role is required: a renamed or lost experiment
+# must fail the run, not skip the gates below.
+grid = role_results.get("grid_perf")
+if grid is None:
+    print("bench: required role grid_perf missing from the registry",
+          file=sys.stderr)
+    sys.exit(1)
 
 # Library flavor: prefer the configure-time detection; older build trees
 # without the cache variable fall back to what the benchmark runtime says.
@@ -175,16 +182,15 @@ if not library_type:
 # re-derive here from the benchmark context as a belt-and-braces check so
 # the committed baseline can never present a 1-CPU "speedup" as headline.
 num_cpus = micro.get("context", {}).get("num_cpus", 0)
-if sweep:
-    if num_cpus <= 1:
-        sweep["scaling_valid"] = False
-    if not sweep.get("scaling_valid", False):
-        sweep["headline_speedup"] = None
-        print(f"bench: sweep_scaling measured on {num_cpus} CPU(s) — "
-              f"speedup {sweep.get('speedup', 0.0):.2f}x recorded as "
-              "scaling_valid=false (not a headline number)", file=sys.stderr)
-    else:
-        sweep["headline_speedup"] = sweep.get("speedup")
+if num_cpus <= 1:
+    grid["scaling_valid"] = False
+if not grid.get("scaling_valid", False):
+    grid["headline_speedup"] = None
+    print(f"bench: grid_perf measured on {num_cpus} CPU(s) — "
+          f"speedup {grid.get('speedup', 0.0):.2f}x recorded as "
+          "scaling_valid=false (not a headline number)", file=sys.stderr)
+else:
+    grid["headline_speedup"] = grid.get("speedup")
 
 result = {
     "generated_by": "tools/bench.sh",
@@ -306,32 +312,28 @@ for name, entry in baseline.get("benchmarks", {}).items():
     print(f"bench: {name}: {cur_ips / 1e6:.2f} M/s vs baseline "
           f"{base_ips / 1e6:.2f} M/s ({ratio:.2f}x) {verdict}")
 
-if sweep and not sweep.get("cells_identical", False):
-    print("bench: sweep cells not bit-identical", file=sys.stderr)
+# Grid gates: every phase (cold parallel, warm serial, warm parallel)
+# must be bit-identical to the cold serial reference, and (outside the
+# verify mode, which re-simulates every hit by design) the warm grid must
+# actually hit the cache and beat a cold one by >=10x.
+if not grid.get("cells_identical", False):
+    print("bench: grid_perf cells not bit-identical to the serial "
+          "reference", file=sys.stderr)
     failed = True
-
-# Experiment-cache gate: warm results must be bit-identical to cold, and
-# (outside the verify mode, which re-simulates every hit by design) a warm
-# grid must actually hit the cache and beat a cold one by >=10x.
-if store:
-    if not store.get("cells_identical", False):
-        print("bench: store warm cells not bit-identical to cold",
+if not grid.get("verify", False):
+    if grid.get("hit_rate", 0.0) <= 0.0:
+        print("bench: grid_perf warm runs recorded no cache hits",
               file=sys.stderr)
         failed = True
-    if not store.get("verify", False):
-        if store.get("hit_rate", 0.0) <= 0.0:
-            print("bench: store warm run recorded no cache hits",
-                  file=sys.stderr)
-            failed = True
-        if store.get("speedup", 0.0) < 10.0:
-            print(f"bench: store warm speedup "
-                  f"{store.get('speedup', 0.0):.1f}x below the 10x floor",
-                  file=sys.stderr)
-            failed = True
-        else:
-            print(f"bench: store warm replay "
-                  f"{store.get('speedup', 0.0):.0f}x faster than cold "
-                  f"(hit rate {100.0 * store.get('hit_rate', 0.0):.0f}%)")
+    if grid.get("warm_speedup", 0.0) < 10.0:
+        print(f"bench: grid_perf warm speedup "
+              f"{grid.get('warm_speedup', 0.0):.1f}x below the 10x floor",
+              file=sys.stderr)
+        failed = True
+    else:
+        print(f"bench: grid_perf warm replay "
+              f"{grid.get('warm_speedup', 0.0):.0f}x faster than cold "
+              f"(hit rate {100.0 * grid.get('hit_rate', 0.0):.0f}%)")
 
 sys.exit(1 if failed else 0)
 EOF

@@ -39,8 +39,9 @@ struct MinimizerConfig {
 };
 
 /// Extracts the (w,k)-minimizers of `seq`: for every window of w k-mers the
-/// one with the smallest hash64(canonical) value is selected (deduplicated
-/// across overlapping windows).
+/// one with the smallest hash64(canonical) value is selected, ties going to
+/// the rightmost k-mer; a window that selects its predecessor's pick adds
+/// nothing. Requires 1 <= k <= 31 and w >= 1.
 [[nodiscard]] std::vector<Minimizer> extract_minimizers(
     const std::vector<Base>& seq, const MinimizerConfig& config);
 

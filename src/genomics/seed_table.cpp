@@ -11,16 +11,31 @@ SeedTable::SeedTable(SeedTableConfig config, std::uint32_t banks)
               "SeedTable: buckets must be divisible by the bank count");
   util::check(entries_per_bank() * config_.entry_bytes <= config_.row_bytes,
               "SeedTable: per-bank buckets must fit one row");
-  positions_.resize(config_.buckets);
+  offsets_.assign(config_.buckets + 1, 0);
 }
 
 void SeedTable::build(const Genome& reference) {
   const auto minimizers =
       extract_minimizers(reference.bases(), config_.minimizer);
-  for (const auto& m : minimizers) {
-    auto& bucket = positions_[bucket_of(m.hash)];
-    if (bucket.size() < config_.max_positions) {
-      bucket.push_back(m.position);
+  // Counting pass: each bucket keeps at most max_positions entries.
+  std::vector<std::uint32_t> buckets(minimizers.size());
+  std::vector<std::uint32_t> fill(config_.buckets, 0);
+  for (std::size_t i = 0; i < minimizers.size(); ++i) {
+    buckets[i] = bucket_of(minimizers[i].hash);
+    std::uint32_t& count = fill[buckets[i]];
+    if (count < config_.max_positions) ++count;
+  }
+  // Prefix sum, then place positions in minimizer (reference) order, so a
+  // full bucket holds its first max_positions arrivals.
+  for (std::uint32_t b = 0; b < config_.buckets; ++b) {
+    offsets_[b + 1] = offsets_[b] + fill[b];
+    fill[b] = offsets_[b];
+  }
+  positions_.assign(offsets_.back(), 0);
+  for (std::size_t i = 0; i < minimizers.size(); ++i) {
+    std::uint32_t& cursor = fill[buckets[i]];
+    if (cursor < offsets_[buckets[i] + 1]) {
+      positions_[cursor++] = minimizers[i].position;
     }
   }
 }
@@ -36,26 +51,23 @@ TableLocation SeedTable::locate(std::uint32_t bucket) const {
 
 std::span<const std::uint32_t> SeedTable::query(
     std::uint64_t minimizer_hash) const {
-  return positions_[bucket_of(minimizer_hash)];
+  return query_bucket(bucket_of(minimizer_hash));
 }
 
 std::span<const std::uint32_t> SeedTable::query_bucket(
     std::uint32_t bucket) const {
   util::check(bucket < config_.buckets, "query_bucket: bad bucket");
-  return positions_[bucket];
-}
-
-std::size_t SeedTable::total_positions() const {
-  std::size_t n = 0;
-  for (const auto& b : positions_) n += b.size();
-  return n;
+  return {positions_.data() + offsets_[bucket],
+          positions_.data() + offsets_[bucket + 1]};
 }
 
 double SeedTable::occupancy() const {
   std::size_t non_empty = 0;
-  for (const auto& b : positions_) non_empty += b.empty() ? 0 : 1;
+  for (std::uint32_t b = 0; b < config_.buckets; ++b) {
+    non_empty += offsets_[b + 1] > offsets_[b] ? 1 : 0;
+  }
   return static_cast<double>(non_empty) /
-         static_cast<double>(positions_.size());
+         static_cast<double>(config_.buckets);
 }
 
 }  // namespace impact::genomics

@@ -38,6 +38,9 @@ struct SeedTableConfig {
   MinimizerConfig minimizer{};
 };
 
+/// Positions are stored CSR-style: one offsets array over the buckets and
+/// one flat positions array, each bucket's entries back to back. A bucket
+/// keeps at most max_positions entries, the first ones in reference order.
 class SeedTable {
  public:
   /// `banks` is the DRAM bank count of the PiM device the table is striped
@@ -45,7 +48,8 @@ class SeedTable {
   /// <= row_bytes).
   SeedTable(SeedTableConfig config, std::uint32_t banks);
 
-  /// Indexes the reference: every reference minimizer lands in its bucket.
+  /// Indexes the reference, replacing any earlier build: every reference
+  /// minimizer lands in its bucket until the bucket is full.
   void build(const Genome& reference);
 
   [[nodiscard]] std::uint32_t bucket_of(std::uint64_t minimizer_hash) const {
@@ -70,13 +74,17 @@ class SeedTable {
   [[nodiscard]] std::uint32_t entries_per_bank() const {
     return config_.buckets / banks_;
   }
-  [[nodiscard]] std::size_t total_positions() const;
+  [[nodiscard]] std::size_t total_positions() const {
+    return positions_.size();
+  }
   [[nodiscard]] double occupancy() const;  ///< Non-empty bucket fraction.
 
  private:
   SeedTableConfig config_;
   std::uint32_t banks_;
-  std::vector<std::vector<std::uint32_t>> positions_;  // Per bucket.
+  // CSR storage: bucket b holds positions_[offsets_[b], offsets_[b + 1]).
+  std::vector<std::uint32_t> offsets_;    // buckets + 1 entries.
+  std::vector<std::uint32_t> positions_;  // All buckets, back to back.
 };
 
 /// Layout of the packed reference itself (used by the alignment stage's

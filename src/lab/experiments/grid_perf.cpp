@@ -7,6 +7,10 @@
 //   3. warm, serial, replaying from phase 2's cache;
 //   4. warm on the pool, replaying from phase 2's cache.
 //
+// On a one-worker pool (--threads 1) phase 2 would only repeat phase 1,
+// so it is skipped: the warm phases replay from phase 1's cache and the
+// parallel fields print as null.
+//
 // Every phase must reproduce the reference's full record bytes (stats
 // and per-cell snapshots), so one run checks the sweep engine's
 // schedule-independence and the cache's replay fidelity together.
@@ -31,6 +35,7 @@
 #include <cstdio>
 #include <ctime>
 #include <iterator>
+#include <optional>
 #include <string>
 #include <thread>
 
@@ -79,6 +84,14 @@ std::string grid_bytes(const graph::MultiprogConfig& config,
     }
   }
   return all;
+}
+
+/// `value` as a JSON number, or null when its phase did not run.
+std::string json_number(bool ran, double value) {
+  if (!ran) return "null";
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%.4f", value);
+  return buf;
 }
 
 /// One timed evaluation of the grid on `pool` (null = serial).
@@ -131,24 +144,33 @@ int run_grid_perf(Context& ctx) {
                cells, smoke ? "smoke" : "full", pool.size(), hw,
                options.verify ? ", VERIFY mode (warm runs re-simulate)" : "");
 
-  // Phase 1 gets its own cache and inputs, released before phase 2 so
-  // the two cold runs never hold two sets of traces at once.
+  // With a real pool, phase 1 gets its own cache and inputs, released
+  // before phase 2 so the two cold runs never hold two sets of traces at
+  // once; the warm phases replay from whichever cold phase ran last.
   Phase serial;
-  {
-    store::ResultCache cache(options);
-    store::WorkloadStore workloads;
-    serial = timed_grid(config, cache, workloads, nullptr);
-  }
+  std::optional<Phase> parallel;
   store::ResultCache cache(options);
   store::WorkloadStore workloads;
-  const Phase parallel = timed_grid(config, cache, workloads, &pool);
+  if (pool.size() > 1) {
+    {
+      store::ResultCache cold_cache(options);
+      store::WorkloadStore cold_workloads;
+      serial = timed_grid(config, cold_cache, cold_workloads, nullptr);
+    }
+    parallel = timed_grid(config, cache, workloads, &pool);
+  } else {
+    serial = timed_grid(config, cache, workloads, nullptr);
+  }
   const Phase warm = timed_grid(config, cache, workloads, nullptr);
   const Phase warm_parallel = timed_grid(config, cache, workloads, &pool);
 
+  const Phase* const par = parallel ? &*parallel : nullptr;
+
   const std::string reference = grid_bytes(config, serial.grid);
   bool identical = true;
-  const Phase* const phases[] = {&serial, &parallel, &warm, &warm_parallel};
+  const Phase* const phases[] = {&serial, par, &warm, &warm_parallel};
   for (const Phase* phase : phases) {
+    if (phase == nullptr) continue;
     if (!phase->grid.ok()) {
       std::fprintf(stderr, "grid failed: %s\n",
                    phase->grid.report.summary().c_str());
@@ -158,7 +180,8 @@ int run_grid_perf(Context& ctx) {
   }
 
   const double speedup =
-      parallel.seconds > 0.0 ? serial.seconds / parallel.seconds : 0.0;
+      par != nullptr && par->seconds > 0.0 ? serial.seconds / par->seconds
+                                           : 0.0;
   // A wall-clock speedup is only a meaningful scaling claim when more than
   // one CPU was actually available to the process; on a 1-CPU container
   // the serial and parallel runs share one core and the ratio measures
@@ -175,28 +198,36 @@ int run_grid_perf(Context& ctx) {
       static_cast<double>(warm.grid.report.tasks +
                           warm_parallel.grid.report.tasks);
 
+  std::fprintf(stderr, "cold serial %.2fs (cpu %.2fs)  ", serial.seconds,
+               serial.cpu_seconds);
+  if (par != nullptr) {
+    std::fprintf(stderr,
+                 "cold parallel %.2fs (cpu %.2fs)  speedup %.2fx%s\n",
+                 par->seconds, par->cpu_seconds, speedup,
+                 scaling_valid ? "" : " [INVALID: single CPU]");
+  } else {
+    std::fprintf(stderr, "cold parallel skipped (one worker)\n");
+  }
   std::fprintf(stderr,
-               "cold serial %.2fs (cpu %.2fs)  cold parallel %.2fs (cpu "
-               "%.2fs)  speedup %.2fx%s\n"
                "warm serial %.4fs  warm parallel %.4fs (hit rate %.0f%%)  "
                "warm speedup %.1fx  cells %s\n",
-               serial.seconds, serial.cpu_seconds, parallel.seconds,
-               parallel.cpu_seconds, speedup,
-               scaling_valid ? "" : " [INVALID: single CPU]", warm.seconds,
-               warm_parallel.seconds, 100.0 * hit_rate, warm_speedup,
-               identical ? "bit-identical" : "MISMATCH");
+               warm.seconds, warm_parallel.seconds, 100.0 * hit_rate,
+               warm_speedup, identical ? "bit-identical" : "MISMATCH");
 
   std::printf(
       "{\"bench\":\"grid_perf\",\"smoke\":%s,\"cells\":%zu,\"threads\":%u,"
       "\"hardware_concurrency\":%u,"
       "\"serial_seconds\":%.4f,\"serial_cpu_seconds\":%.4f,"
-      "\"parallel_seconds\":%.4f,\"parallel_cpu_seconds\":%.4f,"
-      "\"speedup\":%.4f,\"scaling_valid\":%s,"
+      "\"parallel_seconds\":%s,\"parallel_cpu_seconds\":%s,"
+      "\"speedup\":%s,\"scaling_valid\":%s,"
       "\"warm_seconds\":%.4f,\"warm_parallel_seconds\":%.4f,"
       "\"warm_speedup\":%.4f,\"hit_rate\":%.4f,"
       "\"verify\":%s,\"cells_identical\":%s}\n",
       smoke ? "true" : "false", cells, pool.size(), hw, serial.seconds,
-      serial.cpu_seconds, parallel.seconds, parallel.cpu_seconds, speedup,
+      serial.cpu_seconds,
+      json_number(par != nullptr, par ? par->seconds : 0.0).c_str(),
+      json_number(par != nullptr, par ? par->cpu_seconds : 0.0).c_str(),
+      json_number(par != nullptr, speedup).c_str(),
       scaling_valid ? "true" : "false", warm.seconds, warm_parallel.seconds,
       warm_speedup, hit_rate, options.verify ? "true" : "false",
       identical ? "true" : "false");

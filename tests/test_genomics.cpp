@@ -153,6 +153,63 @@ TEST(MinimizerTest, ShortSequenceYieldsNothing) {
   EXPECT_TRUE(extract_minimizers(g.bases(), MinimizerConfig{15, 10}).empty());
 }
 
+TEST(MinimizerTest, RejectsKOutsideOneToThirtyOne) {
+  const auto g = Genome::from_string("ACGTACGTACGTACGTACGTACGTACGTACGTACGT");
+  EXPECT_THROW((void)extract_minimizers(g.bases(), MinimizerConfig{0, 10}),
+               std::invalid_argument);
+  EXPECT_THROW((void)extract_minimizers(g.bases(), MinimizerConfig{32, 10}),
+               std::invalid_argument);
+  EXPECT_NO_THROW((void)extract_minimizers(g.bases(), MinimizerConfig{31, 1}));
+}
+
+/// The definition, evaluated window by window: each window of w k-mers
+/// selects its smallest hash64(canonical) value, ties to the rightmost
+/// position; a window that selects the previous window's pick adds nothing.
+std::vector<Minimizer> brute_force_minimizers(const std::vector<Base>& seq,
+                                              std::uint32_t k,
+                                              std::uint32_t w) {
+  std::vector<Minimizer> out;
+  if (seq.size() < k) return out;
+  std::vector<std::uint64_t> hashes(seq.size() - k + 1);
+  for (std::size_t i = 0; i < hashes.size(); ++i) {
+    hashes[i] = hash64(canonical_kmer(pack_kmer(seq, i, k), k));
+  }
+  for (std::size_t start = 0; start + w <= hashes.size(); ++start) {
+    std::size_t best = start;
+    for (std::size_t i = start + 1; i < start + w; ++i) {
+      if (hashes[i] <= hashes[best]) best = i;
+    }
+    const Minimizer m{hashes[best], static_cast<std::uint32_t>(best)};
+    if (out.empty() || !(out.back() == m)) out.push_back(m);
+  }
+  return out;
+}
+
+TEST(MinimizerTest, MatchesBruteForceOnRandomCases) {
+  util::Xoshiro256 rng(40);
+  for (int c = 0; c < 400; ++c) {
+    const auto k = static_cast<std::uint32_t>(1 + rng.below(31));
+    auto w = static_cast<std::uint32_t>(1 + rng.below(40));
+    std::size_t length = rng.below(3001);
+    switch (c % 8) {  // Pin the edge shapes among the random ones.
+      case 0: length = k - 1; break;
+      case 1: length = k; break;
+      case 2: w = 1; break;
+      case 3: length = k + w - 1; break;  // Exactly one window.
+      default: break;
+    }
+    // 1- and 2-letter alphabets make equal hashes (ties) common.
+    constexpr std::uint64_t kAlphabets[] = {1, 2, 4, 4};
+    const std::uint64_t alphabet = kAlphabets[rng.below(4)];
+    std::vector<Base> seq(length);
+    for (auto& b : seq) b = static_cast<Base>(rng.below(alphabet));
+    ASSERT_EQ(extract_minimizers(seq, MinimizerConfig{k, w}),
+              brute_force_minimizers(seq, k, w))
+        << "case " << c << ": k=" << k << " w=" << w << " length=" << length
+        << " alphabet=" << alphabet;
+  }
+}
+
 TEST(SeedTableTest, GeometryMatchesPaper) {
   // §5.4: 16 entries/row at 1024 banks, 8 at 2048.
   SeedTableConfig config;
@@ -192,6 +249,30 @@ TEST(SeedTableTest, QueryReturnsIndexedPositions) {
     for (auto p : positions) found += (p == minimizers[i].position);
   }
   EXPECT_GT(found, 40u);  // A few may be capped out of full buckets.
+}
+
+// Bit-for-bit pin of the Fig. 10 seed table (the 2 Mbase reference every
+// ReadMappingSpy indexes). The constant was computed before the flat
+// storage and the rolling minimizer kernel went in: any change to which
+// positions land in which bucket, or in what order, shows here.
+TEST(SeedTableTest, Fig10TablePin) {
+  util::Xoshiro256 rng(1234);
+  const auto g = Genome::synthesize(1 << 21, rng);
+  SeedTableConfig config;
+  SeedTable table(config, 1024);
+  table.build(g);
+  std::uint64_t h = 14695981039346656037ull;  // FNV-1a over 64-bit words.
+  const auto add = [&h](std::uint64_t v) { h = (h ^ v) * 1099511628211ull; };
+  add(table.total_positions());
+  add(static_cast<std::uint64_t>(table.occupancy() * config.buckets));
+  for (std::uint32_t b = 0; b < config.buckets; ++b) {
+    const auto positions = table.query_bucket(b);
+    add(positions.size());
+    for (const std::uint32_t p : positions) add(p);
+  }
+  EXPECT_EQ(table.total_positions(), 290663u);
+  EXPECT_EQ(table.occupancy(), 1.0);  // Every bucket is hit.
+  EXPECT_EQ(h, 0x012e52d495c1939cull);
 }
 
 TEST(ChainTest, PerfectColinearAnchorsChainFully) {

@@ -289,6 +289,25 @@ TEST(LabGridPerf, SmokeRunIsBitIdenticalAndFullyWarm) {
   EXPECT_NE(out.find(R"("verify":false)"), std::string::npos) << out;
 }
 
+// On one worker the cold parallel phase would repeat the serial one, so
+// it is skipped: the warm phases replay phase 1's cache and the parallel
+// fields are null.
+TEST(LabGridPerf, OneThreadSkipsTheParallelColdPhase) {
+  const char* argv[] = {"impact", "run", "grid_perf", "--smoke", "--threads",
+                        "1"};
+  testing::internal::CaptureStdout();
+  const int rc = impact::lab::impact_main(6, argv);
+  const std::string out = testing::internal::GetCapturedStdout();
+  EXPECT_EQ(rc, 0);
+  EXPECT_NE(out.find(R"("cells_identical":true)"), std::string::npos) << out;
+  EXPECT_NE(out.find(R"("hit_rate":1.0000)"), std::string::npos) << out;
+  EXPECT_NE(out.find(R"("parallel_seconds":null)"), std::string::npos)
+      << out;
+  EXPECT_NE(out.find(R"("speedup":null,"scaling_valid":false)"),
+            std::string::npos)
+      << out;
+}
+
 // ---------------------------------------------------------------------
 // Cell-count pins: the numbers `impact describe` prints and the store /
 // resume stages budget around. A grid-shape change must show up here.

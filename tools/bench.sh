@@ -186,8 +186,11 @@ if num_cpus <= 1:
     grid["scaling_valid"] = False
 if not grid.get("scaling_valid", False):
     grid["headline_speedup"] = None
+    # speedup is null when the pool had one worker (no parallel phase).
+    speedup = grid.get("speedup")
+    shown = "n/a" if speedup is None else f"{speedup:.2f}x"
     print(f"bench: grid_perf measured on {num_cpus} CPU(s) — "
-          f"speedup {grid.get('speedup', 0.0):.2f}x recorded as "
+          f"speedup {shown} recorded as "
           "scaling_valid=false (not a headline number)", file=sys.stderr)
 else:
     grid["headline_speedup"] = grid.get("speedup")

@@ -309,6 +309,7 @@ void ProtocolChecker::apply(const CommandRecord& r, BankState& s) {
       if (r.policy != RowPolicy::kConstantTime) s.last_activate = r.start;
       break;
     case CommandKind::kPrecharge:
+      ++s.derived.precharges;
       break;
   }
   s.open = r.open_after;
@@ -354,6 +355,7 @@ void ProtocolChecker::reconcile_stats(dram::BankId bank,
   mismatch("conflicts", stats.conflicts, d.conflicts);
   mismatch("activations", stats.activations, d.activations);
   mismatch("rowclones", stats.rowclones, d.rowclones);
+  mismatch("precharges", stats.precharges, d.precharges);
 }
 
 }  // namespace impact::check

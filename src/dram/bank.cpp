@@ -201,6 +201,7 @@ void Bank::precharge(util::Cycle now) {
   const util::Cycle pre_start = std::max(start, last_activate_ + timing_->tras);
   ready_at_ = pre_start + timing_->trp;
   open_row_.reset();
+  ++stats_.precharges;
   if (observer_ != nullptr) {
     BankAccessResult r;
     r.start = start;

@@ -49,6 +49,7 @@ struct BankStats {
   std::uint64_t conflicts = 0;
   std::uint64_t activations = 0;
   std::uint64_t rowclones = 0;
+  std::uint64_t precharges = 0;  ///< Explicit PREs (Bank::precharge).
 
   [[nodiscard]] std::uint64_t accesses() const {
     return hits + empties + conflicts;
@@ -64,6 +65,7 @@ struct BankStats {
     conflicts += o.conflicts;
     activations += o.activations;
     rowclones += o.rowclones;
+    precharges += o.precharges;
     return *this;
   }
 };

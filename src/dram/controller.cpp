@@ -26,11 +26,33 @@ MemoryController::MemoryController(DramConfig config, MappingScheme scheme,
     checker_ = std::make_unique<check::ProtocolChecker>(
         timing_, check::FailMode::kAbort);
   }
-  // Constructed inside an obs::Scope: mirror the command stream into the
-  // scope's registry (and current trace session, if any). Outside a scope
-  // — every microbench — this folds to nothing.
+  // Constructed inside an obs::Scope: publish the summed BankStats as
+  // snapshot-time providers, as cache::Hierarchy and sys::Tlb do, so
+  // counting costs nothing per command. Only a trace session attaches the
+  // tap, which draws one span per command. Outside a scope — every
+  // microbench — this folds to nothing.
   if (obs::Registry* reg = obs::current_registry()) {
-    tap_ = std::make_unique<obs::DramTap>(*reg, obs::current_trace());
+    obs_registry_ = reg;
+    const struct {
+      const char* name;
+      std::uint64_t BankStats::*field;
+    } fields[] = {{"dram.hits", &BankStats::hits},
+                  {"dram.empties", &BankStats::empties},
+                  {"dram.conflicts", &BankStats::conflicts},
+                  {"dram.activations", &BankStats::activations},
+                  {"dram.rowclones", &BankStats::rowclones},
+                  {"dram.precharges", &BankStats::precharges}};
+    for (const auto& f : fields) {
+      obs_providers_.push_back(reg->add_provider(
+          f.name, [this, field = f.field] { return total_stats().*field; }));
+    }
+    obs_providers_.push_back(reg->add_provider("dram.commands", [this] {
+      const BankStats s = total_stats();
+      return s.accesses() + s.rowclones + s.precharges;
+    }));
+  }
+  if (obs::TraceSession* trace = obs::current_trace()) {
+    tap_ = std::make_unique<obs::DramTap>(*trace);
   }
   rewire_observers();
 }
@@ -41,6 +63,11 @@ MemoryController::~MemoryController() {
   if (checker_) {
     for (BankId i = 0; i < banks_.size(); ++i) {
       checker_->reconcile_stats(i, banks_[i].stats());
+    }
+  }
+  if (obs_registry_ != nullptr) {
+    for (const obs::ProviderId id : obs_providers_) {
+      obs_registry_->flush_provider(id);
     }
   }
 }
@@ -72,7 +99,7 @@ void MemoryController::remove_observer(CommandObserver* observer) {
 
 void MemoryController::rewire_observers() {
   // Order matters: the checker validates the stream before anything else
-  // consumes it, the tap mirrors it, externals see it last.
+  // consumes it, the tap draws it, externals see it last.
   std::vector<CommandObserver*> targets;
   if (checker_) targets.push_back(checker_.get());
   if (tap_) targets.push_back(tap_.get());

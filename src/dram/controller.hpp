@@ -21,6 +21,7 @@
 #include "dram/data_array.hpp"
 #include "dram/observer.hpp"
 #include "dram/types.hpp"
+#include "obs/registry.hpp"
 #include "util/units.hpp"
 
 namespace impact::check {
@@ -72,7 +73,8 @@ class MemoryController {
                    MappingScheme scheme = MappingScheme::kBankInterleaved,
                    bool with_data = false);
   /// Reconciles BankStats against the observed command stream when the
-  /// auto-attached protocol checker is active (see set_observer).
+  /// auto-attached protocol checker is active (see set_observer), and
+  /// flushes the `dram.*` obs providers into their scope's registry.
   ~MemoryController();
   MemoryController(MemoryController&&) = delete;
   MemoryController& operator=(MemoryController&&) = delete;
@@ -142,14 +144,19 @@ class MemoryController {
   [[nodiscard]] DataArray* data() { return data_ ? &*data_ : nullptr; }
 
   // --- Command-stream observation --------------------------------------
+  // Constructed inside an obs::Scope, the controller publishes the summed
+  // BankStats as snapshot-time providers: `dram.{hits,empties,conflicts,
+  // activations,rowclones,precharges}` and `dram.commands` (accesses +
+  // rowclones + precharges). Counting needs no observer.
+  //
   // The constructor auto-attaches up to two internal observers: a
   // `check::ProtocolChecker` in abort-on-violation mode when
   // `ProtocolChecker::env_enabled()` says so (IMPACT_CHECK=1, or a debug
-  // build with IMPACT_CHECK unset), and an `obs::DramTap` when constructed
-  // inside an active obs::Scope. Internal and external observers coexist
-  // through an ordered fan-out; the banks still see a single pointer
-  // (nullptr / sole observer / the fan-out), preserving the inline
-  // null-check fast path.
+  // build with IMPACT_CHECK unset), and an `obs::DramTap` when a trace
+  // session is open, which draws one span per command. Internal and
+  // external observers coexist through an ordered fan-out; the banks still
+  // see a single pointer (nullptr / sole observer / the fan-out),
+  // preserving the inline null-check fast path.
 
   /// Legacy single-slot attachment: *replaces* the auto-attached protocol
   /// checker and every previously attached external observer with
@@ -164,7 +171,7 @@ class MemoryController {
   void remove_observer(CommandObserver* observer);
   /// The auto-attached checker, or nullptr when disabled/replaced.
   [[nodiscard]] check::ProtocolChecker* checker() { return checker_.get(); }
-  /// The auto-attached obs tap, or nullptr outside an obs::Scope.
+  /// The auto-attached trace tap, or nullptr outside a trace session.
   [[nodiscard]] obs::DramTap* obs_tap() { return tap_.get(); }
 
   // --- Fault injection --------------------------------------------------
@@ -205,6 +212,8 @@ class MemoryController {
   std::optional<DataArray> data_;
   std::unique_ptr<check::ProtocolChecker> checker_;
   std::unique_ptr<obs::DramTap> tap_;
+  obs::Registry* obs_registry_ = nullptr;
+  std::vector<obs::ProviderId> obs_providers_;
   std::vector<CommandObserver*> external_observers_;
   ObserverList fanout_;
   fault::Injector* faults_ = nullptr;

@@ -8,6 +8,11 @@
 // conflict the issuer observes — so an observer can reconcile `BankStats`
 // and validate the state machine independently of defense masking.
 //
+// Two internal observers use the seam: the protocol checker, which
+// re-derives every BankStats count from the stream, and the obs:: trace
+// tap, which draws spans. Neither is the source of the `dram.*` counters:
+// those are BankStats, which the banks keep with no observer attached.
+//
 // The hook is a single virtual call plus a struct copy per command and is
 // only taken when an observer is attached; the hot path stays branch-cheap
 // otherwise.
@@ -71,7 +76,7 @@ class CommandObserver {
 };
 
 /// Ordered fan-out so several observers (the auto-attached ProtocolChecker,
-/// the obs:: tracer tap, a user observer) can share one bank-side slot.
+/// the obs:: trace tap, a user observer) can share one bank-side slot.
 ///
 /// The banks keep their single-pointer inline null-check fast path from
 /// PR 2: the controller installs `nullptr` for zero observers, the sole

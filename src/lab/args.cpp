@@ -34,15 +34,9 @@ bool split_eq(std::string_view arg, std::string_view& flag,
 
 bool parse_args(const ExperimentSpec& spec, int argc, const char* const* argv,
                 Args& out, std::string& error) {
-  std::size_t next_positional = 0;
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];
     if (arg.size() < 2 || arg.substr(0, 2) != "--") {
-      // Bare word: bind to the next declared positional parameter.
-      if (next_positional < spec.positional.size()) {
-        out.params[spec.positional[next_positional++]] = std::string(arg);
-        continue;
-      }
       if (spec.accepts_extra_args) {
         out.extra.emplace_back(arg);
         continue;

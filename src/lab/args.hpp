@@ -1,8 +1,8 @@
 // The shared command-line vocabulary of `impact run <name> ...`: the
 // two common flags every experiment understands (--smoke, --threads),
 // declared-parameter overrides (--param k=v or --<name> v for
-// any parameter the experiment's spec declares), positional binding, and
-// an opt-in passthrough lane for specs that wrap an external harness with
+// any parameter the experiment's spec declares), and an opt-in
+// passthrough lane for specs that wrap an external harness with
 // its own flags (Google Benchmark).
 #pragma once
 
@@ -32,11 +32,10 @@ struct Args {
 
 /// Parses `argv[1..argc)` against `spec`. Returns false and fills
 /// `error` on the first unknown flag, missing value, undeclared
-/// parameter, or surplus positional argument. Accepted forms:
+/// parameter, or bare word. Accepted forms:
 ///   --smoke --threads N|--threads=N
 ///   --param k=v|--param=k=v       (k must be declared by the spec)
 ///   --<name> V|--<name>=V         (any declared parameter name)
-///   bare words                    (bound to spec.positional in order)
 [[nodiscard]] bool parse_args(const ExperimentSpec& spec, int argc,
                               const char* const* argv, Args& out,
                               std::string& error);

@@ -35,8 +35,6 @@ void register_builtin(Registry& r) {
   register_simulator_perf(r);
   // Walkthrough examples.
   register_quickstart(r);
-  register_covert_channel_comparison(r);
-  register_genome_spy(r);
   register_keystroke_spy(r);
   register_rowclone_bulk_copy(r);
 }

@@ -49,9 +49,6 @@ struct ExperimentSpec {
   Kind kind = Kind::kFigure;
   /// Declared parameters, in display order.
   std::vector<ParamSpec> params;
-  /// Names of parameters that may also be given as bare positional
-  /// arguments, in order (genome_spy's `[banks]`).
-  std::vector<std::string> positional;
   /// Role in tools/bench.sh output assembly: "" for experiments that
   /// do not feed BENCH_simulator.json, "micro" for the Google Benchmark
   /// harness, otherwise the JSON key the run's stdout lands under.

@@ -43,8 +43,6 @@ void register_simulator_perf(Registry& r);
 
 // Walkthrough examples.
 void register_quickstart(Registry& r);
-void register_covert_channel_comparison(Registry& r);
-void register_genome_spy(Registry& r);
 void register_keystroke_spy(Registry& r);
 void register_rowclone_bulk_copy(Registry& r);
 

@@ -2,66 +2,13 @@
 
 namespace impact::obs {
 
-DramTap::DramTap(Registry& registry, TraceSession* trace)
-    : commands_(registry.counter("dram.commands")),
-      hits_(registry.counter("dram.hits")),
-      empties_(registry.counter("dram.empties")),
-      conflicts_(registry.counter("dram.conflicts")),
-      activations_(registry.counter("dram.activations")),
-      rowclones_(registry.counter("dram.rowclones")),
-      precharges_(registry.counter("dram.precharges")),
-      trace_(trace) {}
-
 void DramTap::on_command(const dram::CommandRecord& record) {
-  commands_.add();
-  switch (record.kind) {
-    case dram::CommandKind::kAccess:
-      // Mirrors Bank::access: the outcome counter always records the
-      // *internal* classification; an activation happens on every
-      // constant-time access (unconditional ACT) and on every non-hit
-      // otherwise.
-      switch (record.outcome) {
-        case dram::RowBufferOutcome::kHit:
-          hits_.add();
-          break;
-        case dram::RowBufferOutcome::kEmpty:
-          empties_.add();
-          break;
-        case dram::RowBufferOutcome::kConflict:
-          conflicts_.add();
-          break;
-      }
-      if (record.policy == dram::RowPolicy::kConstantTime ||
-          record.outcome != dram::RowBufferOutcome::kHit) {
-        activations_.add();
-      }
-      break;
-    case dram::CommandKind::kRowClone:
-      // Mirrors Bank::rowclone: ACT(src) + ACT(dst).
-      rowclones_.add();
-      activations_.add(2);
-      break;
-    case dram::CommandKind::kPrecharge:
-      precharges_.add();
-      break;
-  }
-  if (trace_ != nullptr) {
-    trace_->span("dram", dram::to_string(record.kind), record.start,
-                 record.completion, record.bank);
-  }
+  trace_->span("dram", dram::to_string(record.kind), record.start,
+               record.completion, record.bank);
 }
 
 void DramTap::on_stats_reset(dram::BankId bank) {
-  commands_.reset();
-  hits_.reset();
-  empties_.reset();
-  conflicts_.reset();
-  activations_.reset();
-  rowclones_.reset();
-  precharges_.reset();
-  if (trace_ != nullptr) {
-    trace_->instant("dram", "stats-reset", 0, bank);
-  }
+  trace_->instant("dram", "stats-reset", 0, bank);
 }
 
 }  // namespace impact::obs

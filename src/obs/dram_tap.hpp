@@ -1,43 +1,28 @@
-// Bridges the dram:: observer seam into the obs:: spine.
+// Bridges the dram:: observer seam into an obs::TraceSession.
 //
-// A DramTap is a CommandObserver that re-derives the BankStats counters
-// from the command stream (the same independence argument as the PR 1
-// ProtocolChecker: the tap counts what the banks *did*, not what they
-// recorded, so tests can reconcile the two) and, when a TraceSession is
-// attached, emits one span per bank command on the bank's track.
+// A DramTap is a CommandObserver that draws one span per bank command on
+// the bank's track, and an instant when a bank's stats are reset. It
+// counts nothing: the `dram.*` counters come from BankStats, which
+// MemoryController publishes as snapshot-time providers.
 //
-// MemoryController auto-attaches a tap when it is constructed inside an
-// active obs::Scope; the multi-observer fan-out keeps it coexisting with
-// the auto-attached ProtocolChecker and any user observer.
+// MemoryController auto-attaches a tap when it is constructed while a
+// trace session is open; the multi-observer fan-out keeps it coexisting
+// with the auto-attached ProtocolChecker and any user observer.
 #pragma once
 
-#include <cstdint>
-
 #include "dram/observer.hpp"
-#include "obs/registry.hpp"
 #include "obs/trace.hpp"
 
 namespace impact::obs {
 
 class DramTap final : public dram::CommandObserver {
  public:
-  explicit DramTap(Registry& registry, TraceSession* trace = nullptr);
+  explicit DramTap(TraceSession& trace) : trace_(&trace) {}
 
   void on_command(const dram::CommandRecord& record) override;
-  /// BankStats were reset; the registry mirror resets with them so
-  /// reconciliation stays meaningful. (Counters are aggregate across
-  /// banks, so a reset of any bank — in practice always the controller
-  /// resetting all of them — clears the whole mirror.)
   void on_stats_reset(dram::BankId bank) override;
 
  private:
-  Counter commands_;
-  Counter hits_;
-  Counter empties_;
-  Counter conflicts_;
-  Counter activations_;
-  Counter rowclones_;
-  Counter precharges_;
   TraceSession* trace_;
 };
 

@@ -12,10 +12,10 @@
 // by the Registry's destruction, never by growth (deque storage).
 //
 // Components whose counters live in their own structs (cache::LevelStats,
-// sys::TlbStats) register *providers* instead: a callback sampled at
-// snapshot time, costing literally nothing on the access path. A component
-// destroyed before the registry must `flush_provider` so the final value
-// persists as a plain counter.
+// sys::TlbStats, dram::BankStats) register *providers* instead: a callback
+// sampled at snapshot time, costing literally nothing on the access path.
+// A component destroyed before the registry must `flush_provider` so the
+// final value persists as a plain counter.
 #pragma once
 
 #include <cstdint>
@@ -40,8 +40,6 @@ class Counter {
  public:
   Counter() = default;
   void add(std::uint64_t n = 1) { *cell_ += n; }
-  /// Mirrors a stats reset in the instrumented component (see DramTap).
-  void reset() { *cell_ = 0; }
   [[nodiscard]] std::uint64_t value() const { return *cell_; }
   explicit operator bool() const { return cell_ != nullptr; }
 

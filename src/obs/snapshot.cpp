@@ -21,7 +21,7 @@ const util::Histogram* Snapshot::dist(std::string_view name) const {
 
 void Snapshot::merge(const Snapshot& other) {
   for (const auto& [name, v] : other.counters) counters[name] += v;
-  for (const auto& [name, v] : other.gauges) gauges[name] += v;
+  gauges.clear();
   for (const auto& [name, hist] : other.dists) {
     const auto it = dists.find(name);
     if (it == dists.end()) {

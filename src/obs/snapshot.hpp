@@ -2,8 +2,9 @@
 //
 // Snapshots are plain data: copyable, comparable by content, and safe to
 // move across threads (exec::Sweep attaches one per cell). `merge` folds
-// cells together (counters/gauges add, distributions bin-wise merge);
-// `diff` isolates an interval between two captures of the same registry.
+// cells together (counters add, distributions bin-wise merge, gauges are
+// dropped); `diff` isolates an interval between two captures of the same
+// registry.
 #pragma once
 
 #include <cstdint>
@@ -32,9 +33,11 @@ struct Snapshot {
   /// Distribution `name`, nullptr when absent.
   [[nodiscard]] const util::Histogram* dist(std::string_view name) const;
 
-  /// Folds `other` into this snapshot: counters and gauges add; same-name
+  /// Folds `other` into this snapshot: counters add; same-name
   /// distributions merge bin-wise (throws std::invalid_argument on shape
-  /// mismatch); names unique to `other` are copied in.
+  /// mismatch); names unique to `other` are copied in. A gauge is one
+  /// run's value (a rate, a ratio) and a sum of them means nothing, so
+  /// the merged snapshot carries no gauges.
   void merge(const Snapshot& other);
 
   /// Interval algebra: returns `this - earlier` per counter/gauge

@@ -38,21 +38,20 @@ const Registry& builtin() {
   return *kRegistry;
 }
 
-/// A minimal spec for argv tests: one declared parameter, positional.
+/// A minimal spec for argv tests: one declared parameter.
 ExperimentSpec toy_spec() {
   ExperimentSpec spec;
   spec.name = "toy";
   spec.description = "argv fixture";
   spec.params = {{"banks", "bank count", "1024"}};
-  spec.positional = {"banks"};
   spec.run = [](Context&) { return 0; };
   return spec;
 }
 
 TEST(LabRegistry, BuiltinCatalogueIsCompleteAndSorted) {
-  EXPECT_EQ(builtin().size(), 24u);
+  EXPECT_EQ(builtin().size(), 22u);
   const auto all = builtin().all();
-  ASSERT_EQ(all.size(), 24u);
+  ASSERT_EQ(all.size(), 22u);
   for (std::size_t i = 1; i < all.size(); ++i) {
     EXPECT_LT(all[i - 1]->name, all[i]->name);
   }
@@ -187,7 +186,6 @@ TEST(LabContext, ParamOverrideRoundTrip) {
            {"toy", "--param", "banks=64"},  // --param k=v
            {"toy", "--banks", "64"},        // declared-name flag
            {"toy", "--banks=64"},           // inline form
-           {"toy", "64"},                   // positional binding
        }) {
     Args args;
     std::string error;

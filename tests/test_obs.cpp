@@ -41,8 +41,6 @@ TEST(ObsRegistry, HandlesAreStableAndShared) {
   }
   a.add(1);
   EXPECT_EQ(reg.counter_value("x"), 8u);
-  a.reset();
-  EXPECT_EQ(reg.counter_value("x"), 0u);
 }
 
 TEST(ObsRegistry, NullHandlesGuard) {
@@ -103,13 +101,16 @@ TEST(ObsSnapshot, MergeAddsAndCopiesUniqueNames) {
   obs::Registry b;
   b.counter("shared").add(4);
   b.counter("only_b").add(7);
+  b.gauge("g").set(2.5);
   b.distribution("d", 0.0, 4.0, 4).add(3.0);
 
   obs::Snapshot merged = a.snapshot();
   merged.merge(b.snapshot());
   EXPECT_EQ(merged.counter("shared"), 7u);
   EXPECT_EQ(merged.counter("only_b"), 7u);
-  EXPECT_DOUBLE_EQ(merged.gauge("g"), 1.5);
+  // A gauge is one run's value (a rate, a ratio): two are never summed,
+  // and a merged snapshot carries none.
+  EXPECT_TRUE(merged.gauges.empty());
   ASSERT_NE(merged.dist("d"), nullptr);
   EXPECT_EQ(merged.dist("d")->total(), 2u);
   EXPECT_EQ(merged.counter("absent"), 0u);
@@ -250,21 +251,26 @@ TEST(ObsDram, RegistryReconcilesWithBankStats) {
   dram::MemoryController mc(dram::DramConfig{},
                             dram::MappingScheme::kBankInterleaved,
                             /*with_data=*/false);
-  ASSERT_NE(mc.obs_tap(), nullptr);
+  // Counts come from BankStats; with no trace session there is no tap.
+  ASSERT_EQ(mc.obs_tap(), nullptr);
 
   // Random command stream across banks/rows, with the occasional masked
-  // RowClone and a mid-stream stats reset; the registry must agree with
-  // the banks' own BankStats at every synchronization point.
+  // RowClone, explicit precharge and a mid-stream stats reset; the
+  // registry must agree with the banks' own BankStats.
   util::Xoshiro256 rng(42);
   util::Cycle now = 1000;
   for (int i = 0; i < 500; ++i) {
     const auto bank = static_cast<dram::BankId>(rng.below(mc.banks()));
     const auto row = static_cast<dram::RowId>(rng.below(32));
-    if (rng.below(10) == 0) {
+    const std::uint64_t pick = rng.below(10);
+    if (pick == 0) {
       const auto r = mc.rowclone(
           std::vector{dram::RowCloneLeg{bank, row, (row + 1) % 32}}, now,
           /*atomic=*/false);
       now = r.completion + 10;
+    } else if (pick == 1) {
+      mc.precharge(bank, now);
+      now += 100;
     } else {
       const auto r = mc.access_row(bank, row, now);
       now = r.completion + rng.below(50);
@@ -275,14 +281,74 @@ TEST(ObsDram, RegistryReconcilesWithBankStats) {
   }
 
   const dram::BankStats total = mc.total_stats();
+  ASSERT_GT(total.precharges, 0u);
   const obs::Snapshot snap = scope.snapshot();
   EXPECT_EQ(snap.counter("dram.hits"), total.hits);
   EXPECT_EQ(snap.counter("dram.empties"), total.empties);
   EXPECT_EQ(snap.counter("dram.conflicts"), total.conflicts);
   EXPECT_EQ(snap.counter("dram.activations"), total.activations);
   EXPECT_EQ(snap.counter("dram.rowclones"), total.rowclones);
+  EXPECT_EQ(snap.counter("dram.precharges"), total.precharges);
   EXPECT_EQ(snap.counter("dram.commands"),
-            total.accesses() + total.rowclones);
+            total.accesses() + total.rowclones + total.precharges);
+}
+
+TEST(ObsDram, DestroyedControllerFlushesItsCounts) {
+  obs::Scope scope;
+  dram::BankStats first_total;
+  {
+    dram::MemoryController first(dram::DramConfig{});
+    (void)first.access_row(0, 1, 1000);
+    (void)first.access_row(0, 1, 2000);
+    first.precharge(0, 3000);
+    first_total = first.total_stats();
+  }  // Its providers flush into the scope's registry here.
+  dram::MemoryController second(dram::DramConfig{});
+  (void)second.access_row(1, 2, 1000);
+  (void)second.access_row(1, 3, 2000);
+  const dram::BankStats second_total = second.total_stats();
+
+  const obs::Snapshot snap = scope.snapshot();
+  EXPECT_EQ(snap.counter("dram.hits"), first_total.hits + second_total.hits);
+  EXPECT_EQ(snap.counter("dram.empties"),
+            first_total.empties + second_total.empties);
+  EXPECT_EQ(snap.counter("dram.conflicts"),
+            first_total.conflicts + second_total.conflicts);
+  EXPECT_EQ(snap.counter("dram.activations"),
+            first_total.activations + second_total.activations);
+  EXPECT_EQ(snap.counter("dram.precharges"), 1u);
+  EXPECT_EQ(snap.counter("dram.commands"), 5u);
+}
+
+TEST(ObsDram, TraceSessionDrawsOneSpanPerCommand) {
+  obs::TraceSession trace(1024);
+  obs::Scope scope(&trace);
+  dram::MemoryController mc(dram::DramConfig{});
+  ASSERT_NE(mc.obs_tap(), nullptr);
+  util::Xoshiro256 rng(7);
+  util::Cycle now = 1000;
+  for (int i = 0; i < 200; ++i) {
+    const auto bank = static_cast<dram::BankId>(rng.below(mc.banks()));
+    if (i % 20 == 0) {
+      mc.precharge(bank, now);
+      now += 100;
+    } else {
+      now = mc.access_row(bank, static_cast<dram::RowId>(rng.below(32)), now)
+                .completion;
+    }
+  }
+  const dram::BankStats total = mc.total_stats();
+  ASSERT_EQ(trace.dropped(), 0u);
+  ASSERT_EQ(trace.size(), total.accesses() + total.precharges);
+  std::uint64_t precharges = 0;
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    const obs::TraceEvent& e = trace.event(i);
+    EXPECT_EQ(e.cat, "dram");
+    EXPECT_EQ(e.phase, obs::Phase::kSpan);
+    if (e.name == "precharge") ++precharges;
+  }
+  EXPECT_EQ(precharges, total.precharges);
+  EXPECT_EQ(scope.snapshot().counter("dram.commands"), trace.size());
 }
 
 // --- Channel: snapshot-derived reports + tracing determinism -----------

@@ -207,6 +207,34 @@ TEST_F(ProtocolCheckerTest, StatsMismatchIsCaught) {
   EXPECT_EQ(checker_.violations().front().bank, 3u);
 }
 
+TEST_F(ProtocolCheckerTest, PrechargeCountMismatchIsCaught) {
+  checker_.on_command(legal_activate(10, 1000));
+  CommandRecord pre;
+  pre.kind = CommandKind::kPrecharge;
+  pre.bank = 3;
+  pre.issue = 5000;
+  pre.start = 5000;
+  pre.completion = pre.start + timing_.trp;
+  pre.ack = pre.completion;
+  checker_.on_command(pre);
+  ASSERT_TRUE(checker_.violations().empty())
+      << checker_.violations().front().report();
+
+  BankStats claimed;  // Right about the activation, silent on the PRE.
+  claimed.empties = 1;
+  claimed.activations = 1;
+  checker_.reconcile_stats(3, claimed);
+  ASSERT_EQ(checker_.violations().size(), 1u);
+  EXPECT_EQ(checker_.violations().front().rule, "stats-mismatch");
+  EXPECT_NE(checker_.violations().front().message.find("precharges"),
+            std::string::npos)
+      << checker_.violations().front().message;
+
+  claimed.precharges = 1;  // Now every count agrees: no new violation.
+  checker_.reconcile_stats(3, claimed);
+  EXPECT_EQ(checker_.violations().size(), 1u);
+}
+
 // --- Trace / ring buffer ----------------------------------------------
 
 TEST_F(ProtocolCheckerTest, TraceKeepsOnlyRecentCommandsOldestFirst) {

@@ -26,7 +26,7 @@
 #      on-disk store (IMPACT_STORE_DIR), then re-invoked on the same store;
 #      the rerun must be byte-identical to an uninterrupted reference
 #      (docs/robustness.md, "Durability and recoverable input"),
-#   6c. experiment registry: `impact list` must enumerate exactly the 24
+#   6c. experiment registry: `impact list` must enumerate exactly the 22
 #      registered experiments and `impact describe` must resolve a spec
 #      (docs/experiments-registry.md); `impact run fig11` and `impact run
 #      ablation_sweep --smoke` must print the same stdout at --threads 1
@@ -309,9 +309,9 @@ if [ "${STATUS[sanitizer-build]}" = "PASS" ]; then
   LAB_TMP="$(mktemp -d)"
   rc=0
   "${IMPACT_BIN}" list > "${LAB_TMP}/list.txt" || rc=1
-  if [ $rc -eq 0 ] && [ "$(wc -l < "${LAB_TMP}/list.txt")" -ne 24 ]; then
+  if [ $rc -eq 0 ] && [ "$(wc -l < "${LAB_TMP}/list.txt")" -ne 22 ]; then
     echo "lab: impact list enumerated $(wc -l < "${LAB_TMP}/list.txt")" \
-      "experiments, expected 24" >&2
+      "experiments, expected 22" >&2
     rc=1
   fi
   if [ $rc -eq 0 ]; then
@@ -332,7 +332,7 @@ if [ "${STATUS[sanitizer-build]}" = "PASS" ]; then
       rc=1
     fi
   done
-  [ $rc -eq 0 ] && echo "lab: list enumerates 24 experiments; describe ok;" \
+  [ $rc -eq 0 ] && echo "lab: list enumerates 22 experiments; describe ok;" \
     "fig11 and ablation_sweep stdout identical at 1 and 4 threads"
   rm -rf "${LAB_TMP}"
   stage lab $rc

@@ -1,14 +1,76 @@
 #include "sys/vmem.hpp"
 
 #include <algorithm>
+#include <numeric>
+#include <unordered_map>
 
 #include "util/assert.hpp"
 
 namespace impact::sys {
 
+namespace {
+
+/// Prefix computed by the constructor. The most any registered experiment
+/// takes from one system is 512 frames (the 8192-bank Fig. 10 spy's
+/// bookkeeping pages), so the prefix almost never grows. It is computed up
+/// front rather than on the first map_pages so that the cost stays in
+/// system construction, not in a timed attack run.
+constexpr std::uint32_t kInitialPrefix = 1024;
+
+}  // namespace
+
+std::vector<std::uint32_t> shuffled_prefix(std::uint64_t seed,
+                                           std::uint32_t pool,
+                                           std::uint32_t k) {
+  k = std::min(k, pool);
+  if (k == 0) return {};
+  // The eager shuffle's draws, in its order: draws[pool - i] is step i's.
+  std::vector<std::uint32_t> draws(pool - 1);
+  util::Xoshiro256 rng(seed);
+  for (std::uint32_t i = pool; i > 1; --i) {
+    draws[pool - i] = static_cast<std::uint32_t>(rng.below(i));
+  }
+
+  // Undo the swaps last-first. slot_at[q] is the prefix entry whose value
+  // sits at position q at that point; when every swap is undone, a
+  // position holds its original value q. Steps i <= k swap two positions
+  // below k, so they run on a plain k-entry array.
+  std::vector<std::uint32_t> slot_at(k);
+  std::iota(slot_at.begin(), slot_at.end(), 0u);
+  for (std::uint32_t i = 2; i <= k; ++i) {
+    std::swap(slot_at[i - 1], slot_at[draws[pool - i]]);
+  }
+
+  // Steps i > k: the top position i - 1 holds no tracked value (each one
+  // sits below k or at an earlier step's top, below i - 1), so a tracked
+  // value moves only when the draw hits it, and then moves to i - 1. A bit
+  // per position filters the draws; the map finds which value was hit.
+  std::vector<std::uint64_t> tracked((pool + 63) / 64, 0);
+  std::unordered_map<std::uint32_t, std::uint32_t> slot_of;
+  slot_of.reserve(2 * static_cast<std::size_t>(k));
+  for (std::uint32_t q = 0; q < k; ++q) {
+    tracked[q / 64] |= 1ull << (q % 64);
+    slot_of.emplace(q, slot_at[q]);
+  }
+  for (std::uint32_t i = k + 1; i <= pool; ++i) {
+    const std::uint32_t r = draws[pool - i];
+    if ((tracked[r / 64] >> (r % 64) & 1) == 0) continue;
+    const auto hit = slot_of.find(r);
+    const std::uint32_t slot = hit->second;
+    slot_of.erase(hit);
+    slot_of.emplace(i - 1, slot);
+    tracked[r / 64] &= ~(1ull << (r % 64));
+    tracked[(i - 1) / 64] |= 1ull << ((i - 1) % 64);
+  }
+
+  std::vector<std::uint32_t> prefix(k);
+  for (const auto& [q, slot] : slot_of) prefix[slot] = q;
+  return prefix;
+}
+
 VirtualMemory::VirtualMemory(const dram::AddressMapping& mapping,
                              std::uint64_t seed, std::uint32_t page_bits)
-    : mapping_(&mapping), page_bits_(page_bits) {
+    : mapping_(&mapping), page_bits_(page_bits), seed_(seed) {
   util::check(page_bits_ >= 6 && page_bits_ <= 21,
               "VirtualMemory: page size out of the supported range");
   frames_total_ = mapping.capacity() >> page_bits_;
@@ -19,17 +81,13 @@ VirtualMemory::VirtualMemory(const dram::AddressMapping& mapping,
   // physical-frame placement of a long-running system. The pool draws from
   // the upper half of the device so that row-targeted mappings (map_row /
   // map_row_span, which attacks aim at low row numbers) do not race with
-  // random allocations for the same frames. Capped pool size keeps setup
-  // cheap for very large devices.
-  const std::uint64_t base = frames_total_ / 2;
-  const std::uint64_t pool =
-      std::min<std::uint64_t>(frames_total_ - base, 1ull << 20);
-  shuffled_free_.resize(pool);
-  for (std::uint64_t i = 0; i < pool; ++i) shuffled_free_[i] = base + i;
-  util::Xoshiro256 rng(seed);
-  for (std::uint64_t i = pool; i > 1; --i) {
-    std::swap(shuffled_free_[i - 1], shuffled_free_[rng.below(i)]);
-  }
+  // random allocations for the same frames. The pool is capped at 2^20
+  // frames; shuffled_prefix's cost grows with the pool (one draw per
+  // frame), its memory only with the prefix.
+  pool_base_ = frames_total_ / 2;
+  pool_size_ = static_cast<std::uint32_t>(
+      std::min<std::uint64_t>(frames_total_ - pool_base_, 1ull << 20));
+  pool_order_ = shuffled_prefix(seed_, pool_size_, kInitialPrefix);
 }
 
 VirtualMemory::Process& VirtualMemory::process(dram::ActorId proc) {
@@ -53,18 +111,23 @@ void VirtualMemory::claim_frame(std::uint64_t frame) {
 }
 
 std::uint64_t VirtualMemory::take_free_frame() {
-  while (shuffled_pos_ < shuffled_free_.size()) {
-    const std::uint64_t f = shuffled_free_[shuffled_pos_++];
+  for (;;) {
+    if (pool_pos_ == pool_order_.size()) {
+      if (pool_order_.size() == pool_size_) break;
+      pool_order_ = shuffled_prefix(
+          seed_, pool_size_, 2 * static_cast<std::uint32_t>(pool_pos_));
+    }
+    const std::uint64_t f = pool_base_ + pool_order_[pool_pos_++];
     if (!frame_taken_[f]) {
       claim_frame(f);
       return f;
     }
   }
-  // Shuffle pool exhausted: linear scan of the remainder.
-  for (std::uint64_t f = 0; f < frames_total_; ++f) {
-    if (!frame_taken_[f]) {
-      claim_frame(f);
-      return f;
+  // Shuffle pool exhausted: the lowest free frame.
+  for (; scan_pos_ < frames_total_; ++scan_pos_) {
+    if (!frame_taken_[scan_pos_]) {
+      claim_frame(scan_pos_);
+      return scan_pos_++;
     }
   }
   util::check(false, "VirtualMemory: out of physical frames");

@@ -24,6 +24,21 @@ namespace impact::sys {
 
 using VAddr = std::uint64_t;
 
+/// The first `k` entries (all `pool` of them when `pool <= k`) of the
+/// permutation of [0, pool) that a backward Fisher–Yates shuffle leaves,
+/// starting from a[j] = j and driven by Xoshiro256(seed):
+///
+///   for i = pool..2: swap(a[i-1], a[rng.below(i)])
+///
+/// That loop writes a[0..k) last, so the prefix is found by making the same
+/// pool - 1 draws and undoing the swaps from i = 2 upwards while following
+/// only the k positions of interest. The cost is the draws; the scratch (4
+/// bytes per draw and a bit per position) is freed on return, so only the
+/// k entries are kept.
+std::vector<std::uint32_t> shuffled_prefix(std::uint64_t seed,
+                                           std::uint32_t pool,
+                                           std::uint32_t k);
+
 /// A contiguous virtual range handed out by the allocator.
 struct VSpan {
   VAddr vaddr = 0;
@@ -152,8 +167,17 @@ class VirtualMemory {
   std::uint64_t frames_total_;
   std::uint64_t frames_used_ = 0;
   std::vector<bool> frame_taken_;
-  std::vector<std::uint64_t> shuffled_free_;  ///< Randomized handout order.
-  std::size_t shuffled_pos_ = 0;
+  // Randomized handout order: pool_base_ + shuffled_prefix(seed_,
+  // pool_size_, n) for the n entries computed so far; n doubles when
+  // take_free_frame runs past it.
+  std::uint64_t seed_;
+  std::uint64_t pool_base_ = 0;
+  std::uint32_t pool_size_ = 0;
+  std::vector<std::uint32_t> pool_order_;
+  std::size_t pool_pos_ = 0;
+  /// Once the pool is spent, frames are handed out lowest first; frames
+  /// are never freed, so every frame below this cursor is taken.
+  std::uint64_t scan_pos_ = 0;
   std::unordered_map<dram::ActorId, Process> processes_;
 };
 

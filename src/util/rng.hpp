@@ -30,11 +30,40 @@ class Xoshiro256 {
     return std::numeric_limits<result_type>::max();
   }
 
-  result_type operator()();
+  // operator() and below() are defined inline: hot loops (the frame-order
+  // trace in sys::VirtualMemory, graph generation, trace building) make
+  // millions of draws.
+  result_type operator()() {
+    const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = rotl(s_[3], 45);
+    return result;
+  }
 
   /// Uniform integer in [0, bound). `bound` must be positive. Uses Lemire's
   /// multiply-shift rejection method (unbiased).
-  std::uint64_t below(std::uint64_t bound);
+  std::uint64_t below(std::uint64_t bound) {
+    check(bound > 0, "Xoshiro256::below requires bound > 0");
+    // Lemire's method: multiply into a 128-bit product and reject the biased
+    // low fringe.
+    std::uint64_t x = (*this)();
+    __uint128_t m = static_cast<__uint128_t>(x) * bound;
+    auto low = static_cast<std::uint64_t>(m);
+    if (low < bound) {
+      const std::uint64_t threshold = (0 - bound) % bound;
+      while (low < threshold) {
+        x = (*this)();
+        m = static_cast<__uint128_t>(x) * bound;
+        low = static_cast<std::uint64_t>(m);
+      }
+    }
+    return static_cast<std::uint64_t>(m >> 64);
+  }
 
   /// Uniform integer in [lo, hi] inclusive.
   std::int64_t range(std::int64_t lo, std::int64_t hi);
@@ -54,6 +83,10 @@ class Xoshiro256 {
   }
 
  private:
+  static constexpr std::uint64_t rotl(std::uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  }
+
   std::uint64_t s_[4]{};
   bool have_spare_normal_ = false;
   double spare_normal_ = 0.0;

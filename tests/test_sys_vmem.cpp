@@ -1,10 +1,14 @@
 // Unit tests: virtual memory — mapping policies, massaging, sharing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
 #include <set>
 
 #include "dram/address_mapping.hpp"
+#include "sys/system.hpp"
 #include "sys/vmem.hpp"
+#include "util/rng.hpp"
 
 namespace impact::sys {
 namespace {
@@ -153,6 +157,141 @@ TEST(VmemSmallDevice, ExhaustionThrows) {
   VirtualMemory vmem(mapping, 1);
   (void)vmem.map_pages(1, 4);
   EXPECT_THROW((void)vmem.map_pages(1, 1), std::invalid_argument);
+}
+
+/// The eager shuffle VirtualMemory used to run over its whole pool, kept as
+/// the reference for shuffled_prefix.
+std::vector<std::uint32_t> eager_shuffle(std::uint64_t seed,
+                                         std::uint32_t pool) {
+  std::vector<std::uint32_t> a(pool);
+  std::iota(a.begin(), a.end(), 0u);
+  util::Xoshiro256 rng(seed);
+  for (std::uint64_t i = pool; i > 1; --i) {
+    std::swap(a[i - 1], a[rng.below(i)]);
+  }
+  return a;
+}
+
+TEST(ShuffledPrefix, MatchesEagerShuffle) {
+  for (const std::uint32_t pool :
+       {1u, 2u, 3u, 17u, 1000u, 1u << 18, 1u << 20}) {
+    for (const std::uint64_t seed : {1ull, 42ull, 1234ull}) {
+      const auto full = eager_shuffle(seed, pool);
+      for (const std::uint32_t k : {1u, 64u, 1024u, 4096u}) {
+        const auto prefix = shuffled_prefix(seed, pool, k);
+        const std::size_t n = std::min(k, pool);
+        ASSERT_EQ(prefix.size(), n) << "pool " << pool << " k " << k;
+        EXPECT_TRUE(std::equal(prefix.begin(), prefix.end(), full.begin()))
+            << "pool " << pool << " seed " << seed << " k " << k;
+      }
+    }
+  }
+  EXPECT_TRUE(shuffled_prefix(7, 0, 16).empty());
+  EXPECT_TRUE(shuffled_prefix(7, 16, 0).empty());
+}
+
+/// A device whose upper half (the random pool) is 2^13 frames: small enough
+/// to exhaust, larger than the constructor's 1024-entry prefix.
+dram::DramConfig small_device() {
+  dram::DramConfig config;
+  config.ranks = 1;
+  config.banks_per_rank = 16;
+  config.rows_per_bank = 512;  // 16 banks x 512 rows x 8 KiB = 2^14 frames.
+  return config;
+}
+
+std::vector<std::uint64_t> frames_of(const VirtualMemory& vmem,
+                                     dram::ActorId proc, const VSpan& span) {
+  std::vector<std::uint64_t> frames;
+  for (VAddr v = span.vaddr; v < span.end(); v += vmem.page_bytes()) {
+    frames.push_back(vmem.translate(proc, v) >> 12);
+  }
+  return frames;
+}
+
+TEST(VmemPool, PrefixGrowsInSeededOrderAndSkipsTakenFrames) {
+  const dram::DramConfig config = small_device();
+  dram::AddressMapping mapping(config,
+                               dram::MappingScheme::kBankInterleaved);
+  VirtualMemory vmem(mapping, 9);
+  const std::uint64_t base = vmem.frames_total() / 2;
+  const auto order = eager_shuffle(9, vmem.frames_total() - base);
+
+  // A row-targeted mapping claims a frame the random order reaches later
+  // (its 1500th): the handout skips it rather than failing.
+  const auto loc = mapping.decode((base + order[1500]) << 12);
+  const auto row = vmem.map_row(2, loc.bank, loc.row);
+  std::set<std::uint64_t> taken;
+  for (const auto f : frames_of(vmem, 2, row)) taken.insert(f);
+  ASSERT_TRUE(taken.contains(base + order[1500]));
+
+  std::vector<std::uint64_t> expected;
+  for (const std::uint32_t q : order) {
+    if (expected.size() == 3000) break;
+    if (!taken.contains(base + q)) expected.push_back(base + q);
+  }
+  std::vector<std::uint64_t> got;
+  for (const std::uint64_t n : {1000u, 24u, 1976u}) {  // Past 1024 and 2048.
+    const auto frames = frames_of(vmem, 1, vmem.map_pages(1, n));
+    got.insert(got.end(), frames.begin(), frames.end());
+  }
+  EXPECT_EQ(got, expected);
+}
+
+TEST(VmemPool, ExhaustedPoolFallsBackToLowestFreeFrames) {
+  const dram::DramConfig config = small_device();
+  dram::AddressMapping mapping(config,
+                               dram::MappingScheme::kBankInterleaved);
+  VirtualMemory vmem(mapping, 3);
+  const std::uint64_t total = vmem.frames_total();
+  const std::uint64_t base = total / 2;
+  (void)vmem.map_row(2, 0, 0);  // Frames 0 and 1.
+  const auto pool = vmem.map_pages(1, total - base);
+  std::set<std::uint64_t> pool_frames;
+  for (const auto f : frames_of(vmem, 1, pool)) pool_frames.insert(f);
+  EXPECT_EQ(pool_frames.size(), total - base);
+  EXPECT_EQ(*pool_frames.begin(), base);
+
+  // The pool is spent: frames come lowest first, skipping taken ones.
+  (void)vmem.map_row(2, 0, 1);  // Frames 32 and 33 (16 banks x 2 pages).
+  const auto rest = frames_of(vmem, 1, vmem.map_pages(1, 40));
+  std::vector<std::uint64_t> expected;
+  for (std::uint64_t f = 2; expected.size() < 40; ++f) {
+    if (f != 32 && f != 33) expected.push_back(f);
+  }
+  EXPECT_EQ(rest, expected);
+  (void)vmem.map_pages(1, base - 44);
+  EXPECT_EQ(vmem.frames_used(), total);
+  EXPECT_THROW((void)vmem.map_pages(1, 1), std::invalid_argument);
+}
+
+/// FNV-1a over the frames of the first 4096 pages map_pages hands out.
+std::uint64_t first_frames_digest(VirtualMemory& vmem) {
+  std::uint64_t h = 14695981039346656037ull;
+  const auto span = vmem.map_pages(1, 4096);
+  for (const std::uint64_t f : frames_of(vmem, 1, span)) {
+    h = (h ^ f) * 1099511628211ull;
+  }
+  return h;
+}
+
+// The constants were computed with the eager full-pool shuffle, before
+// shuffled_prefix replaced it: any change to the handout order shows here.
+TEST(VmemPool, Table2HandoutPin) {
+  MemorySystem system(SystemConfig{});  // Table 2, seed 42.
+  EXPECT_EQ(first_frames_digest(system.vmem()), 0x2b89f6fb9dea083full);
+}
+
+TEST(VmemPool, Fig10SpyHandoutPin) {
+  SystemConfig config;  // ReadMappingSpy's 1024-bank geometry.
+  config.dram.channels = 1;
+  config.dram.ranks = 1;
+  config.dram.banks_per_rank = 1024;
+  config.dram.rows_per_bank = 256;
+  config.dram.subarray_rows = std::min(config.dram.subarray_rows, 256u);
+  config.seed = 1234;
+  MemorySystem system(config);
+  EXPECT_EQ(first_frames_digest(system.vmem()), 0x1c5fbe33fa1904b5ull);
 }
 
 }  // namespace

@@ -10,18 +10,17 @@
 
 namespace impact::dram {
 
-MemoryController::MemoryController(DramConfig config, MappingScheme scheme,
-                                   bool with_data)
+MemoryController::MemoryController(DramConfig config, MappingScheme scheme)
     : config_(config),
       mapping_(config, scheme),
-      timing_(config.derived_timing()) {
+      timing_(config.derived_timing()),
+      data_(config_) {
   config_.validate();
   banks_.reserve(config_.total_banks());
   for (std::uint32_t i = 0; i < config_.total_banks(); ++i) {
     banks_.emplace_back(timing_, config_.policy);
   }
   owners_.assign(config_.total_banks(), kAnyActor);
-  if (with_data) data_.emplace(config_);
   if (check::ProtocolChecker::env_enabled()) {
     checker_ = std::make_unique<check::ProtocolChecker>(
         timing_, check::FailMode::kAbort);
@@ -192,7 +191,7 @@ void MemoryController::rowclone_into(std::span<const RowCloneLeg> legs,
     }
     const BankAccessResult r = bank_for(leg.bank).rowclone(leg.src, leg.dst,
                                                            at_bank);
-    if (data_) data_->clone_row(leg.bank, leg.src, leg.dst);
+    data_.clone_row(leg.bank, leg.src, leg.dst);
     AccessResult a;
     a.bank = leg.bank;
     a.outcome = r.outcome;

@@ -70,8 +70,7 @@ struct RowCloneResult {
 class MemoryController {
  public:
   MemoryController(DramConfig config,
-                   MappingScheme scheme = MappingScheme::kBankInterleaved,
-                   bool with_data = false);
+                   MappingScheme scheme = MappingScheme::kBankInterleaved);
   /// Reconciles BankStats against the observed command stream when the
   /// auto-attached protocol checker is active (see set_observer), and
   /// flushes the `dram.*` obs providers into their scope's registry.
@@ -140,8 +139,8 @@ class MemoryController {
   [[nodiscard]] BankStats total_stats() const;
   void reset_stats();
 
-  /// Value-level storage; present only when constructed `with_data`.
-  [[nodiscard]] DataArray* data() { return data_ ? &*data_ : nullptr; }
+  /// Value-level storage (never null; empty until something is written).
+  [[nodiscard]] DataArray* data() { return &data_; }
 
   // --- Command-stream observation --------------------------------------
   // Constructed inside an obs::Scope, the controller publishes the summed
@@ -209,7 +208,7 @@ class MemoryController {
   std::vector<ActorId> owners_;
   bool partitioned_ = false;  ///< Any bank currently has an exclusive owner.
   std::uint64_t partition_faults_ = 0;
-  std::optional<DataArray> data_;
+  DataArray data_;
   std::unique_ptr<check::ProtocolChecker> checker_;
   std::unique_ptr<obs::DramTap> tap_;
   obs::Registry* obs_registry_ = nullptr;

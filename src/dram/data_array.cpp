@@ -45,18 +45,23 @@ void DataArray::write(const DramAddress& loc,
   std::memcpy(row.data() + loc.col, in.data(), in.size());
 }
 
+// SIMLINT-HOT-BEGIN: per-leg RowClone path, next to rowclone_into.
 void DataArray::clone_row(BankId bank, RowId src, RowId dst) {
-  const auto* src_row = find_row(bank, src);
-  if (src_row == nullptr) {
-    // Source holds zeroes; destination becomes all-zero.
-    materialize(bank, dst).assign(row_bytes_, 0);
+  const std::uint64_t src_key = key(bank, src);
+  const std::uint64_t dst_key = key(bank, dst);
+  if (src_key == dst_key) return;
+  const auto it = store_.find(src_key);
+  if (it == store_.end()) {
+    // A zero source leaves a zero, hence absent, destination.
+    store_.erase(dst_key);
     return;
   }
-  // Copy via a temporary so that src == dst is harmless and so the source
-  // row reference cannot be invalidated by materializing the destination.
-  std::vector<std::uint8_t> tmp = *src_row;
-  materialize(bank, dst) = std::move(tmp);
+  // unordered_map node references survive inserts (and rehashes), so the
+  // source row copies straight into the destination's buffer.
+  const std::vector<std::uint8_t>& from = it->second;
+  store_[dst_key] = from;
 }
+// SIMLINT-HOT-END
 
 void DataArray::fill_row(BankId bank, RowId row, std::uint8_t value) {
   materialize(bank, row).assign(row_bytes_, value);

@@ -2,9 +2,9 @@
 //
 // Timing and contents are deliberately separated: `Bank` models *when*
 // commands complete, `DataArray` models *what* the cells hold. Rows are
-// allocated lazily (a simulated device can be many gigabytes, but only the
-// rows an experiment touches carry data). Unwritten rows read as zero,
-// matching an initialized device.
+// stored sparsely (a simulated device can be many gigabytes, but only rows
+// an experiment writes carry data). Absent rows read as zero, matching an
+// initialized device, and RowClone keeps zero rows absent.
 #pragma once
 
 #include <cstdint>
@@ -33,7 +33,7 @@ class DataArray {
   void write(const DramAddress& loc, std::span<const std::uint8_t> in);
 
   /// Copies an entire source row over a destination row within one bank
-  /// (the functional effect of RowClone).
+  /// (the functional effect of RowClone); an absent source erases `dst`.
   void clone_row(BankId bank, RowId src, RowId dst);
 
   /// Fills an entire row with `value` (RowClone-based initialization).

@@ -335,8 +335,7 @@ RunStats run_multiprogrammed(const MultiprogConfig& config,
   // builds its own. Constructing it here (not sharing across cells) is
   // what makes concurrent cells of a sweep independent — and therefore
   // schedule-invariant.
-  dram::MemoryController controller(sys_config.dram, sys_config.mapping,
-                                    /*with_data=*/true);
+  dram::MemoryController controller(sys_config.dram, sys_config.mapping);
   const std::uint32_t row_bits = fe->row_bits;
   const std::uint64_t row_mask = (std::uint64_t{1} << row_bits) - 1;
   const auto access = [&](std::uint32_t request, util::Cycle now,

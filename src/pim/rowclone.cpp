@@ -7,7 +7,8 @@ namespace impact::pim {
 
 RowCloneUnit::RowCloneUnit(RowCloneConfig config, sys::MemorySystem& system,
                            dram::ActorId actor)
-    : config_(config), system_(&system), actor_(actor) {
+    : config_(config), system_(&system), actor_(actor),
+      view_(system.vmem().view(actor)) {
   if (obs::Registry* reg = obs::current_registry()) {
     obs_ops_ = reg->counter("pim.rowclone.ops");
     obs_legs_ = reg->counter("pim.rowclone.legs");
@@ -24,7 +25,6 @@ void RowCloneUnit::execute_into(const RowCloneRequest& request,
                                 util::Cycle& clock, bool atomic,
                                 dram::RowCloneResult& out) {
   util::check(request.mask != 0, "RowCloneUnit: empty bank mask");
-  auto& vmem = system_->vmem();
   const auto& mapping = system_->controller().mapping();
   const std::uint64_t row_bytes = mapping.row_bytes();
 
@@ -34,10 +34,8 @@ void RowCloneUnit::execute_into(const RowCloneRequest& request,
     if (((request.mask >> k) & 1ull) == 0) continue;
     const sys::VAddr src_chunk = request.src + k * row_bytes;
     const sys::VAddr dst_chunk = request.dst + k * row_bytes;
-    const auto src_loc =
-        mapping.decode(vmem.translate(actor_, src_chunk));
-    const auto dst_loc =
-        mapping.decode(vmem.translate(actor_, dst_chunk));
+    const auto src_loc = mapping.decode(view_.translate(src_chunk));
+    const auto dst_loc = mapping.decode(view_.translate(dst_chunk));
     util::check(src_loc.bank == dst_loc.bank,
                 "RowCloneUnit: chunk k of src and dst map to different banks");
     util::check(src_loc.col == 0 && dst_loc.col == 0,

@@ -69,6 +69,7 @@ class RowCloneUnit {
   RowCloneConfig config_;
   sys::MemorySystem* system_;
   dram::ActorId actor_;
+  sys::VirtualMemory::TranslationView view_;  ///< `actor_`'s page table.
   std::vector<dram::RowCloneLeg> legs_scratch_;  ///< Reused across calls.
   // obs:: handles resolved once at construction; null outside a Scope.
   obs::Counter obs_ops_;

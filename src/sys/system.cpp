@@ -58,7 +58,7 @@ MemorySystem::CpuContext::CpuContext(const SystemConfig& cfg,
 
 MemorySystem::MemorySystem(SystemConfig config)
     : config_(config),
-      controller_(config.dram, config.mapping, /*with_data=*/true),
+      controller_(config.dram, config.mapping),
       vmem_(controller_.mapping(), config.seed),
       timestamp_(config.timer) {}
 

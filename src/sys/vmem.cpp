@@ -1,6 +1,8 @@
 #include "sys/vmem.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cstring>
 #include <numeric>
 #include <unordered_map>
 
@@ -24,12 +26,22 @@ std::vector<std::uint32_t> shuffled_prefix(std::uint64_t seed,
                                            std::uint32_t k) {
   k = std::min(k, pool);
   if (k == 0) return {};
-  // The eager shuffle's draws, in its order: draws[pool - i] is step i's.
-  std::vector<std::uint32_t> draws(pool - 1);
+  // The eager shuffle's draws, in its order: draw(pool - i) is step i's.
+  // Each is below pool <= 2^24, so a four-byte little-endian store keeps
+  // it in three bytes (the next draw overwrites the fourth): 3 MB, not 4.
+  static_assert(std::endian::native == std::endian::little);
+  util::check(pool <= 1u << 24, "shuffled_prefix: pool above 2^24");
+  std::vector<std::uint8_t> draws(3 * static_cast<std::size_t>(pool - 1) + 1);
   util::Xoshiro256 rng(seed);
   for (std::uint32_t i = pool; i > 1; --i) {
-    draws[pool - i] = static_cast<std::uint32_t>(rng.below(i));
+    const auto r = static_cast<std::uint32_t>(rng.below(i));
+    std::memcpy(&draws[3 * static_cast<std::size_t>(pool - i)], &r, 4);
   }
+  const auto draw = [&draws](std::uint32_t j) {
+    std::uint32_t r = 0;
+    std::memcpy(&r, &draws[3 * static_cast<std::size_t>(j)], 4);
+    return r & 0xFFFFFFu;
+  };
 
   // Undo the swaps last-first. slot_at[q] is the prefix entry whose value
   // sits at position q at that point; when every swap is undone, a
@@ -38,7 +50,7 @@ std::vector<std::uint32_t> shuffled_prefix(std::uint64_t seed,
   std::vector<std::uint32_t> slot_at(k);
   std::iota(slot_at.begin(), slot_at.end(), 0u);
   for (std::uint32_t i = 2; i <= k; ++i) {
-    std::swap(slot_at[i - 1], slot_at[draws[pool - i]]);
+    std::swap(slot_at[i - 1], slot_at[draw(pool - i)]);
   }
 
   // Steps i > k: the top position i - 1 holds no tracked value (each one
@@ -53,7 +65,7 @@ std::vector<std::uint32_t> shuffled_prefix(std::uint64_t seed,
     slot_of.emplace(q, slot_at[q]);
   }
   for (std::uint32_t i = k + 1; i <= pool; ++i) {
-    const std::uint32_t r = draws[pool - i];
+    const std::uint32_t r = draw(pool - i);
     if ((tracked[r / 64] >> (r % 64) & 1) == 0) continue;
     const auto hit = slot_of.find(r);
     const std::uint32_t slot = hit->second;
@@ -75,7 +87,7 @@ VirtualMemory::VirtualMemory(const dram::AddressMapping& mapping,
               "VirtualMemory: page size out of the supported range");
   frames_total_ = mapping.capacity() >> page_bits_;
   util::check(frames_total_ > 0, "VirtualMemory: device smaller than a page");
-  frame_taken_.assign(frames_total_, false);
+  taken_.resize((frames_total_ + kLeafFrames - 1) / kLeafFrames);
 
   // Randomized handout order models the effectively arbitrary
   // physical-frame placement of a long-running system. The pool draws from
@@ -101,12 +113,16 @@ VirtualMemory::Process& VirtualMemory::process(dram::ActorId proc) {
 }
 
 bool VirtualMemory::frame_free(std::uint64_t frame) const {
-  return frame < frames_total_ && !frame_taken_[frame];
+  if (frame >= frames_total_) return false;
+  const auto& leaf = taken_[frame / kLeafFrames];
+  return leaf == nullptr || !leaf->test(frame % kLeafFrames);
 }
 
 void VirtualMemory::claim_frame(std::uint64_t frame) {
   util::check(frame_free(frame), "VirtualMemory: frame not free");
-  frame_taken_[frame] = true;
+  auto& leaf = taken_[frame / kLeafFrames];
+  if (leaf == nullptr) leaf = std::make_unique<std::bitset<kLeafFrames>>();
+  leaf->set(frame % kLeafFrames);
   ++frames_used_;
 }
 
@@ -118,14 +134,14 @@ std::uint64_t VirtualMemory::take_free_frame() {
           seed_, pool_size_, 2 * static_cast<std::uint32_t>(pool_pos_));
     }
     const std::uint64_t f = pool_base_ + pool_order_[pool_pos_++];
-    if (!frame_taken_[f]) {
+    if (frame_free(f)) {
       claim_frame(f);
       return f;
     }
   }
   // Shuffle pool exhausted: the lowest free frame.
   for (; scan_pos_ < frames_total_; ++scan_pos_) {
-    if (!frame_taken_[scan_pos_]) {
+    if (frame_free(scan_pos_)) {
       claim_frame(scan_pos_);
       return scan_pos_++;
     }
@@ -157,25 +173,6 @@ VSpan VirtualMemory::map_pages(dram::ActorId proc, std::uint64_t n) {
   frames.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) frames.push_back(take_free_frame());
   return VSpan{install(p, frames), n * page_bytes()};
-}
-
-VSpan VirtualMemory::map_in_bank(dram::ActorId proc, dram::BankId bank) {
-  Process& p = process(proc);
-  // Scan frames for one whose first byte decodes into `bank`. A page never
-  // crosses a row-chunk boundary when page <= row size; check both ends to
-  // be safe for any geometry.
-  for (std::uint64_t f = 0; f < frames_total_; ++f) {
-    if (frame_taken_[f]) continue;
-    const dram::PhysAddr base = f << page_bits_;
-    const auto lo = mapping_->decode(base);
-    const auto hi = mapping_->decode(base + page_bytes() - 1);
-    if (lo.bank == bank && hi.bank == bank) {
-      claim_frame(f);
-      return VSpan{install(p, {f}), page_bytes()};
-    }
-  }
-  util::check(false, "VirtualMemory::map_in_bank: no free frame in bank");
-  return {};
 }
 
 VSpan VirtualMemory::map_row(dram::ActorId proc, dram::BankId bank,

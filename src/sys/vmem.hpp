@@ -11,7 +11,9 @@
 #pragma once
 
 #include <array>
+#include <bitset>
 #include <cstdint>
+#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -32,9 +34,9 @@ using VAddr = std::uint64_t;
 ///
 /// That loop writes a[0..k) last, so the prefix is found by making the same
 /// pool - 1 draws and undoing the swaps from i = 2 upwards while following
-/// only the k positions of interest. The cost is the draws; the scratch (4
+/// only the k positions of interest. The cost is the draws; the scratch (3
 /// bytes per draw and a bit per position) is freed on return, so only the
-/// k entries are kept.
+/// k entries are kept. `pool` is at most 2^24.
 std::vector<std::uint32_t> shuffled_prefix(std::uint64_t seed,
                                            std::uint32_t pool,
                                            std::uint32_t k);
@@ -61,9 +63,6 @@ class VirtualMemory {
 
   /// Maps `n` pages for `proc` from the randomized free list.
   VSpan map_pages(dram::ActorId proc, std::uint64_t n);
-
-  /// Maps one page backed by a frame in `bank` (memory massaging).
-  VSpan map_in_bank(dram::ActorId proc, dram::BankId bank);
 
   /// Maps the pages covering row `row` of `bank` exactly.
   VSpan map_row(dram::ActorId proc, dram::BankId bank, dram::RowId row);
@@ -165,8 +164,11 @@ class VirtualMemory {
   const dram::AddressMapping* mapping_;
   std::uint32_t page_bits_;
   std::uint64_t frames_total_;
+  /// Claimed frames, a bitmap built 4096 frames at a time on first claim:
+  /// one over a Table 2 device is 1 MiB, for a few hundred claimed frames.
+  static constexpr std::uint64_t kLeafFrames = 4096;
+  std::vector<std::unique_ptr<std::bitset<kLeafFrames>>> taken_;
   std::uint64_t frames_used_ = 0;
-  std::vector<bool> frame_taken_;
   // Randomized handout order: pool_base_ + shuffled_prefix(seed_,
   // pool_size_, n) for the n entries computed so far; n doubles when
   // take_free_frame runs past it.

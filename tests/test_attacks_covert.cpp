@@ -165,6 +165,20 @@ TEST(ImpactPumTest, SingleRowCloneCarriesSixteenBits) {
   EXPECT_LT(r.report.sender_cycles, 1200u);
 }
 
+TEST(ImpactPumTest, ChannelMaterializesNoDramRows) {
+  // The channel only clones rows nothing ever wrote, so the functional
+  // DataArray must stay empty: the PuM path copies no row contents.
+  auto system = make_system(AttackKind::kImpactPum);
+  ImpactPum attack(system);
+  util::Xoshiro256 rng(2024);
+  for (int m = 0; m < 4; ++m) {
+    const auto msg = util::BitVec::random(64, rng);
+    EXPECT_EQ(attack.transmit(msg).decoded, msg);
+  }
+  (void)attack.recalibrate();
+  EXPECT_EQ(system.controller().data()->materialized_rows(), 0u);
+}
+
 TEST(ImpactPumTest, SenderFasterThanPnmSenderByOrderOfMagnitude) {
   sys::SystemConfig config;
   const auto msg = util::BitVec(16, true);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <vector>
 
 #include "dram/controller.hpp"
 
@@ -12,8 +13,7 @@ namespace {
 class ControllerTest : public ::testing::Test {
  protected:
   ControllerTest()
-      : mc_(DramConfig{}, MappingScheme::kBankInterleaved,
-            /*with_data=*/true),
+      : mc_(DramConfig{}),
         timing_(DramConfig{}.derived_timing()) {}
 
   MemoryController mc_;
@@ -166,6 +166,46 @@ TEST(DataArray, CloneRowCopiesWholeRow) {
   for (auto b : out) EXPECT_EQ(b, 0u);
 }
 
+TEST(DataArray, ZeroCloneOverWrittenRowLeavesItAbsent) {
+  DataArray data((DramConfig()));
+  const std::array<std::uint8_t, 4> in{1, 2, 3, 4};
+  data.write(DramAddress{3, 7, 4000}, in);
+  ASSERT_EQ(data.materialized_rows(), 1u);
+  data.clone_row(3, 8, 7);  // Row 8 was never written.
+  std::array<std::uint8_t, 4> out{0xFF, 0xFF, 0xFF, 0xFF};
+  data.read(DramAddress{3, 7, 4000}, out);
+  for (auto b : out) EXPECT_EQ(b, 0u);
+  EXPECT_EQ(data.materialized_rows(), 0u);
+  // A zero clone onto an absent row materializes nothing either.
+  data.clone_row(3, 8, 9);
+  EXPECT_EQ(data.materialized_rows(), 0u);
+}
+
+TEST(DataArray, NonZeroCloneCopiesWholeRow) {
+  DataArray data((DramConfig()));
+  const std::uint32_t n = data.row_bytes();
+  std::vector<std::uint8_t> src(n);
+  for (std::uint32_t i = 0; i < n; ++i) {
+    src[i] = static_cast<std::uint8_t>(i * 7 + 1);
+  }
+  data.write(DramAddress{4, 2, 0}, src);
+  // Into a fresh destination.
+  data.clone_row(4, 2, 3);
+  std::vector<std::uint8_t> out(n);
+  data.read(DramAddress{4, 3, 0}, out);
+  EXPECT_EQ(out, src);
+  // Over an existing destination holding other bytes.
+  const std::vector<std::uint8_t> other(n, 0x5A);
+  data.write(DramAddress{4, 6, 0}, other);
+  data.clone_row(4, 2, 6);
+  data.read(DramAddress{4, 6, 0}, out);
+  EXPECT_EQ(out, src);
+  // The source is untouched.
+  data.read(DramAddress{4, 2, 0}, out);
+  EXPECT_EQ(out, src);
+  EXPECT_EQ(data.materialized_rows(), 3u);
+}
+
 TEST(DataArray, SelfCloneIsHarmless) {
   DataArray data((DramConfig()));
   const std::array<std::uint8_t, 2> in{5, 6};
@@ -174,6 +214,7 @@ TEST(DataArray, SelfCloneIsHarmless) {
   std::array<std::uint8_t, 2> out{};
   data.read(DramAddress{0, 9, 0}, out);
   EXPECT_EQ(in, out);
+  EXPECT_EQ(data.materialized_rows(), 1u);
 }
 
 TEST(DataArray, FillRow) {
@@ -186,7 +227,7 @@ TEST(DataArray, FillRow) {
 }
 
 TEST(DataArray, ControllerRowCloneMovesData) {
-  MemoryController mc(DramConfig{}, MappingScheme::kBankInterleaved, true);
+  MemoryController mc((DramConfig()));
   const std::array<std::uint8_t, 4> in{0xDE, 0xAD, 0xBE, 0xEF};
   mc.data()->write(DramAddress{6, 8, 64}, in);
   (void)mc.rowclone(std::array{RowCloneLeg{6, 8, 9}}, 1000);

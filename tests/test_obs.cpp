@@ -226,9 +226,7 @@ struct CountingObserver final : dram::CommandObserver {
 };
 
 TEST(ObsDram, MultipleObserversCoexist) {
-  dram::MemoryController mc(dram::DramConfig{},
-                            dram::MappingScheme::kBankInterleaved,
-                            /*with_data=*/false);
+  dram::MemoryController mc(dram::DramConfig{});
   CountingObserver first;
   CountingObserver second;
   mc.add_observer(&first);
@@ -248,9 +246,7 @@ TEST(ObsDram, MultipleObserversCoexist) {
 
 TEST(ObsDram, RegistryReconcilesWithBankStats) {
   obs::Scope scope;
-  dram::MemoryController mc(dram::DramConfig{},
-                            dram::MappingScheme::kBankInterleaved,
-                            /*with_data=*/false);
+  dram::MemoryController mc(dram::DramConfig{});
   // Counts come from BankStats; with no trace session there is no tap.
   ASSERT_EQ(mc.obs_tap(), nullptr);
 

@@ -2,6 +2,7 @@
 // off-chip predictor.
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "obs/scope.hpp"
@@ -257,6 +258,59 @@ TEST_F(RowCloneUnitTest, NonBlockingRetiresAtAck) {
   (void)blocking_unit.execute(RowCloneRequest{src_.vaddr, dst_.vaddr, 2},
                               b_clock);
   EXPECT_LT(nb_clock, b_clock);
+}
+
+// Records every RowClone leg the banks execute as (bank, src row, dst row).
+struct RowCloneLegRecorder final : dram::CommandObserver {
+  std::vector<dram::RowCloneLeg> legs;
+  void on_command(const dram::CommandRecord& r) override {
+    if (r.kind == dram::CommandKind::kRowClone) {
+      legs.push_back(dram::RowCloneLeg{r.bank, r.src_row, r.row});
+    }
+  }
+};
+
+TEST(RowCloneUnitView, LegsMatchVirtualMemoryTranslate) {
+  // The unit resolves its translation view before any span is mapped, as
+  // attacks::ImpactPum does; the view must see the later mappings, huge
+  // pages included, and yield the legs translate + decode give.
+  sys::MemorySystem system(sys::SystemConfig{});
+  RowCloneUnit unit(RowCloneConfig{}, system, 1);
+  auto& vmem = system.vmem();
+  const std::pair<sys::VSpan, sys::VSpan> pairs[] = {
+      {vmem.map_row_span(1, 8), vmem.map_row_span(1, 9)},
+      {vmem.map_row_span(1, 10, /*huge=*/true),
+       vmem.map_row_span(1, 11, /*huge=*/true)},
+  };
+  ASSERT_TRUE(vmem.is_huge(1, pairs[1].first.vaddr));
+  RowCloneLegRecorder recorder;
+  system.controller().add_observer(&recorder);
+  const auto& mapping = system.controller().mapping();
+  const std::uint64_t row_bytes = mapping.row_bytes();
+  util::Cycle clock = 0;
+  for (const auto& [src, dst] : pairs) {
+    for (const std::uint64_t mask :
+         {std::uint64_t{0b1011}, ~std::uint64_t{0}, std::uint64_t{1} << 63,
+          std::uint64_t{0x00F0'0000'0F00'F00F}}) {
+      std::vector<dram::RowCloneLeg> expect;
+      for (std::uint32_t k = 0; k < 64; ++k) {
+        if (((mask >> k) & 1) == 0) continue;
+        const std::uint64_t off = k * row_bytes;
+        const auto s = mapping.decode(vmem.translate(1, src.vaddr + off));
+        const auto d = mapping.decode(vmem.translate(1, dst.vaddr + off));
+        expect.push_back(dram::RowCloneLeg{s.bank, s.row, d.row});
+      }
+      recorder.legs.clear();
+      (void)unit.execute(RowCloneRequest{src.vaddr, dst.vaddr, mask}, clock);
+      ASSERT_EQ(recorder.legs.size(), expect.size()) << std::hex << mask;
+      for (std::size_t i = 0; i < expect.size(); ++i) {
+        EXPECT_EQ(recorder.legs[i].bank, expect[i].bank);
+        EXPECT_EQ(recorder.legs[i].src, expect[i].src);
+        EXPECT_EQ(recorder.legs[i].dst, expect[i].dst);
+      }
+    }
+  }
+  system.controller().remove_observer(&recorder);
 }
 
 TEST(OffChipPredictorTest, InitialBiasIsOffChip) {

@@ -59,17 +59,6 @@ TEST_F(VmemTest, UnknownTranslationThrows) {
   EXPECT_THROW((void)vmem_.translate(2, span.vaddr), std::invalid_argument);
 }
 
-TEST_F(VmemTest, MapInBankLandsInBank) {
-  for (dram::BankId bank : {0u, 7u, 63u}) {
-    const auto span = vmem_.map_in_bank(3, bank);
-    const auto lo = mapping_.decode(vmem_.translate(3, span.vaddr));
-    const auto hi =
-        mapping_.decode(vmem_.translate(3, span.vaddr + 4095));
-    EXPECT_EQ(lo.bank, bank);
-    EXPECT_EQ(hi.bank, bank);
-  }
-}
-
 TEST_F(VmemTest, MapRowCoversExactRow) {
   const auto span = vmem_.map_row(1, 9, 33);
   EXPECT_EQ(span.bytes, config_.row_bytes);
@@ -188,6 +177,9 @@ TEST(ShuffledPrefix, MatchesEagerShuffle) {
   }
   EXPECT_TRUE(shuffled_prefix(7, 0, 16).empty());
   EXPECT_TRUE(shuffled_prefix(7, 16, 0).empty());
+  // Draws are kept in three bytes.
+  EXPECT_THROW((void)shuffled_prefix(7, (1u << 24) + 1, 16),
+               std::invalid_argument);
 }
 
 /// A device whose upper half (the random pool) is 2^13 frames: small enough

@@ -3,10 +3,12 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <utility>
 
 #include "attacks/common.hpp"
 #include "channel/threshold.hpp"
 #include "util/assert.hpp"
+#include "util/intern.hpp"
 
 namespace impact::attacks {
 
@@ -18,7 +20,53 @@ struct Window {
   bool any_disturbance = false;
 };
 
+/// Every SeedTableConfig and MinimizerConfig field is either in the
+/// reference key or only affects how the index is striped over the banks
+/// (entry_bytes, row_bytes, table_row). A new field changes a size:
+/// classify it here and in test_attacks_side's ReferenceKey tests before
+/// updating the size.
+static_assert(sizeof(genomics::MinimizerConfig) == 8,
+              "classify the new MinimizerConfig field for ReferenceKey");
+static_assert(sizeof(genomics::SeedTableConfig) == 28,
+              "classify the new SeedTableConfig field for ReferenceKey");
+
+/// Everything shared_reference's build reads.
+struct ReferenceKey {
+  std::uint64_t seed = 0;
+  std::size_t genome_length = 0;
+  std::uint32_t buckets = 0;
+  std::uint32_t max_positions = 0;
+  std::uint32_t k = 0;
+  std::uint32_t w = 0;
+
+  auto operator<=>(const ReferenceKey&) const = default;
+};
+
+util::InternTable<ReferenceKey, genomics::IndexedReference>& references() {
+  static util::InternTable<ReferenceKey, genomics::IndexedReference> table;
+  return table;
+}
+
 }  // namespace
+
+std::shared_ptr<const genomics::IndexedReference> shared_reference(
+    const SideChannelConfig& config) {
+  const ReferenceKey key{config.seed,
+                         config.genome_length,
+                         config.table.buckets,
+                         config.table.max_positions,
+                         config.table.minimizer.k,
+                         config.table.minimizer.w};
+  return references().acquire(key, [&config] {
+    util::Xoshiro256 genome_rng(config.seed ^ 0x9E3779B97F4A7C15ull);
+    genomics::Genome genome =
+        genomics::Genome::synthesize(config.genome_length, genome_rng);
+    genomics::SeedIndex index(config.table, genome);
+    return genomics::IndexedReference{std::move(genome), std::move(index)};
+  });
+}
+
+std::size_t reference_builds() { return references().builds(); }
 
 ReadMappingSpy::ReadMappingSpy(SideChannelConfig config)
     : config_(config), rng_(config.seed) {
@@ -33,14 +81,13 @@ ReadMappingSpy::ReadMappingSpy(SideChannelConfig config)
   system_config_.seed = config_.seed;
   system_ = std::make_unique<sys::MemorySystem>(system_config_);
 
-  // Build the shared reference + bank-striped seed table.
-  util::Xoshiro256 genome_rng(config_.seed ^ 0x9E3779B97F4A7C15ull);
-  reference_ = std::make_unique<genomics::Genome>(
-      genomics::Genome::synthesize(config_.genome_length, genome_rng));
+  // The shared reference, striped over this device's banks.
+  reference_ = shared_reference(config_);
   config_.table.row_bytes = system_config_.dram.row_bytes;
-  table_ = std::make_unique<genomics::SeedTable>(config_.table,
-                                                 config_.banks);
-  table_->build(*reference_);
+  table_ = std::make_unique<genomics::SeedTable>(
+      config_.table, config_.banks,
+      std::shared_ptr<const genomics::SeedIndex>(reference_,
+                                                 &reference_->index));
 
   victim_pei_ =
       std::make_unique<pim::PeiDispatcher>(config_.pei, *system_, kVictim);
@@ -131,15 +178,14 @@ SideChannelResult ReadMappingSpy::run() {
                                    system_config_.dram.row_bytes * 4};
   std::uint32_t current_read = 0;
   genomics::ReadMapper mapper(
-      *reference_, *table_, layout, config_.mapper,
+      reference_->genome, *table_, layout, config_.mapper,
       [this, &current_read](const genomics::MemoryTouch& t) {
         victim_trace_.push_back(t);
         touch_read_.push_back(current_read);
       });
   util::Xoshiro256 read_rng(config_.seed ^ 0xABCDEF12345678ull);
-  const auto reads =
-      genomics::sample_reads(*reference_, config_.reads, config_.readsim,
-                             read_rng);
+  const auto reads = genomics::sample_reads(
+      reference_->genome, config_.reads, config_.readsim, read_rng);
   std::size_t mapped_ok = 0;
   for (const auto& read : reads) {
     current_read = static_cast<std::uint32_t>(read_positions_.size());

@@ -114,6 +114,18 @@ struct SideChannelResult {
   }
 };
 
+/// The reference genome and seed index a spy of `config` maps against. A
+/// pure function of config's seed, genome_length, table.buckets,
+/// table.max_positions and table.minimizer, so every spy alive at once
+/// with equal values of those fields (its bank count may differ) shares
+/// one build; the build is freed with its last holder.
+[[nodiscard]] std::shared_ptr<const genomics::IndexedReference>
+shared_reference(const SideChannelConfig& config);
+
+/// References shared_reference has built so far in this process (a test
+/// hook: sharing shows as builds not made).
+[[nodiscard]] std::size_t reference_builds();
+
 class ReadMappingSpy {
  public:
   explicit ReadMappingSpy(SideChannelConfig config = {});
@@ -129,7 +141,13 @@ class ReadMappingSpy {
   /// The shared seed table (for the inference stage and for tests).
   [[nodiscard]] const genomics::SeedTable& table() const { return *table_; }
   [[nodiscard]] std::size_t reference_bases() const {
-    return reference_->size();
+    return reference_->genome.size();
+  }
+  /// The spy's shared reference: holding it keeps the build alive for the
+  /// next spy of the same reference (see shared_reference).
+  [[nodiscard]] const std::shared_ptr<const genomics::IndexedReference>&
+  reference() const {
+    return reference_;
   }
 
  private:
@@ -144,8 +162,8 @@ class ReadMappingSpy {
   SideChannelConfig config_;
   sys::SystemConfig system_config_;
   std::unique_ptr<sys::MemorySystem> system_;
-  std::unique_ptr<genomics::Genome> reference_;
-  std::unique_ptr<genomics::SeedTable> table_;
+  std::shared_ptr<const genomics::IndexedReference> reference_;
+  std::unique_ptr<genomics::SeedTable> table_;  ///< Striped over banks.
   std::vector<genomics::MemoryTouch> victim_trace_;
   std::vector<std::uint32_t> touch_read_;  ///< Read index per trace touch.
   std::vector<std::size_t> read_positions_;  ///< True locus per read.

@@ -36,6 +36,8 @@ struct Minimizer {
 struct MinimizerConfig {
   std::uint32_t k = 15;  ///< Seed length.
   std::uint32_t w = 10;  ///< Window: one minimizer per w consecutive k-mers.
+
+  bool operator==(const MinimizerConfig&) const = default;
 };
 
 /// Extracts the (w,k)-minimizers of `seq`: for every window of w k-mers the

@@ -13,6 +13,7 @@
 #include "obs/registry.hpp"
 #include "obs/scope.hpp"
 #include "util/assert.hpp"
+#include "util/intern.hpp"
 
 namespace impact::graph {
 
@@ -220,9 +221,9 @@ std::shared_ptr<const FrontEnd> record_front_end(
   {
     sys::MemorySystem system(sys_config);
     const ArrayMap map_a =
-        map_arrays(system, input.graph, input.trace, kInstanceA, nullptr);
+        map_arrays(system, *input.graph, input.trace, kInstanceA, nullptr);
     const ArrayMap map_b =
-        map_arrays(system, input.graph, input.trace, kInstanceB, &map_a);
+        map_arrays(system, *input.graph, input.trace, kInstanceB, &map_a);
     const ArrayMap* maps[2] = {&map_a, &map_b};
 
     const dram::AddressMapping& mapping = system.controller().mapping();
@@ -285,6 +286,26 @@ std::shared_ptr<const FrontEnd> record_front_end(
   return fe;
 }
 
+/// Every MultiprogConfig field is either in the graph key or cannot change
+/// the graph (`system`). A new field changes the size: classify it here
+/// and in test_graph's GraphKey tests before updating the size.
+static_assert(sizeof(MultiprogConfig) == 288,
+              "classify the new MultiprogConfig field for GraphKey");
+
+/// Everything shared_graph's build reads.
+struct GraphKey {
+  std::uint64_t graph_seed = 0;
+  std::uint32_t rmat_scale = 0;
+  std::size_t edge_count = 0;
+
+  auto operator<=>(const GraphKey&) const = default;
+};
+
+util::InternTable<GraphKey, CsrGraph>& graphs() {
+  static util::InternTable<GraphKey, CsrGraph> table;
+  return table;
+}
+
 }  // namespace
 
 FrontEndMemo& FrontEndMemo::operator=(const FrontEndMemo&) noexcept {
@@ -310,11 +331,20 @@ std::uint64_t FrontEndMemo::dram_requests() const {
          entry_->instances[1].requests.size();
 }
 
+std::shared_ptr<const CsrGraph> shared_graph(const MultiprogConfig& config) {
+  const GraphKey key{config.graph_seed, config.rmat_scale, config.edge_count};
+  return graphs().acquire(key, [&config] {
+    util::Xoshiro256 rng(config.graph_seed);
+    return CsrGraph::rmat(config.rmat_scale, config.edge_count, rng);
+  });
+}
+
+std::size_t graph_builds() { return graphs().builds(); }
+
 WorkloadInput build_input(const MultiprogConfig& config, WorkloadKind kind) {
-  util::Xoshiro256 rng(config.graph_seed);
   WorkloadInput input;
-  input.graph = CsrGraph::rmat(config.rmat_scale, config.edge_count, rng);
-  input.trace = build_trace(kind, input.graph);
+  input.graph = shared_graph(config);
+  input.trace = build_trace(kind, *input.graph);
   util::check(!input.trace.ops.empty(), "build_input: empty trace");
   return input;
 }

@@ -91,14 +91,26 @@ class FrontEndMemo {
 /// The shared input of one Fig. 11 bar group: the RMAT graph and the
 /// workload trace both co-scheduled instances replay. Building it is a
 /// significant fraction of a run, so the sweep engine builds it once per
-/// workload and shares it (read-only) across the per-policy cells.
+/// workload and shares it (read-only) across the per-policy cells. The
+/// graph is itself shared by every live input of the same graph key (see
+/// shared_graph), whatever its kernel.
 struct WorkloadInput {
-  CsrGraph graph;
+  std::shared_ptr<const CsrGraph> graph;
   WorkloadTrace trace;
   /// Filled by the first run_multiprogrammed call on this input and reused
   /// by every later call under another row policy.
   mutable FrontEndMemo front_end;
 };
+
+/// The RMAT graph of config's graph_seed, rmat_scale and edge_count, the
+/// only fields its build reads: every graph alive at once with equal
+/// values of those shares one build, which is freed with its last holder.
+[[nodiscard]] std::shared_ptr<const CsrGraph> shared_graph(
+    const MultiprogConfig& config);
+
+/// Graphs shared_graph has built so far in this process (a test hook:
+/// sharing shows as builds not made).
+[[nodiscard]] std::size_t graph_builds();
 
 /// Deterministically builds the shared input for `kind` (config seed).
 [[nodiscard]] WorkloadInput build_input(const MultiprogConfig& config,

@@ -8,6 +8,7 @@
 // fewer buckets per bank = sharper votes — the §5.4 precision claim,
 // carried through to actual genome coordinates.
 #include <cstdio>
+#include <memory>
 
 #include "attacks/genome_inference.hpp"
 #include "attacks/side_channel.hpp"
@@ -25,6 +26,9 @@ int run_completion_attack(Context&) {
 
   util::Table table({"banks", "episodes", "top-5 hit rate",
                      "candidates/episode", "reduction vs reference"});
+  // Every spy maps against one reference: holding the first spy's keeps
+  // it alive, so the loop builds it once.
+  std::shared_ptr<const genomics::IndexedReference> reference;
   for (const std::uint32_t banks : {1024u, 2048u, 4096u, 8192u}) {
     attacks::SideChannelConfig config;
     config.banks = banks;
@@ -35,6 +39,7 @@ int run_completion_attack(Context&) {
     // episode segmentation keys on.
     config.victim_alignment_compute = banks * 600ull;
     attacks::ReadMappingSpy spy(config);
+    reference = spy.reference();
     const auto run = spy.run();
 
     attacks::GenomeInference inference(

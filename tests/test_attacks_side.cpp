@@ -1,7 +1,13 @@
 // Integration tests: the read-mapping side channel.
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <memory>
+#include <string>
+#include <vector>
+
 #include "attacks/side_channel.hpp"
+#include "exec/thread_pool.hpp"
 
 namespace impact::attacks {
 namespace {
@@ -49,14 +55,48 @@ TEST(SideChannelTest, PrecisionImprovesWithBanks) {
             small.precision.bits_per_observation);
 }
 
+/// Every field of two results, compared exactly.
+void expect_same_result(const SideChannelResult& a, const SideChannelResult& b,
+                        const std::string& label) {
+  SCOPED_TRACE(label);
+  EXPECT_EQ(a.probes.observations, b.probes.observations);
+  EXPECT_EQ(a.probes.correct, b.probes.correct);
+  EXPECT_EQ(a.probes.elapsed_cycles, b.probes.elapsed_cycles);
+  EXPECT_EQ(a.victim_seed_events, b.victim_seed_events);
+  EXPECT_EQ(a.captured_events, b.captured_events);
+  EXPECT_EQ(a.precision.banks, b.precision.banks);
+  EXPECT_EQ(a.precision.entries_per_bank, b.precision.entries_per_bank);
+  EXPECT_EQ(a.precision.bits_per_observation, b.precision.bits_per_observation);
+  EXPECT_EQ(a.victim_accuracy, b.victim_accuracy);
+  EXPECT_EQ(a.threshold, b.threshold);
+  EXPECT_EQ(a.victim_slowdown, b.victim_slowdown);
+  ASSERT_EQ(a.positives.size(), b.positives.size());
+  for (std::size_t i = 0; i < a.positives.size(); ++i) {
+    EXPECT_EQ(a.positives[i].bank, b.positives[i].bank) << i;
+    EXPECT_EQ(a.positives[i].time, b.positives[i].time) << i;
+  }
+  ASSERT_EQ(a.episode_truths.size(), b.episode_truths.size());
+  for (std::size_t i = 0; i < a.episode_truths.size(); ++i) {
+    EXPECT_EQ(a.episode_truths[i].true_position,
+              b.episode_truths[i].true_position) << i;
+    EXPECT_EQ(a.episode_truths[i].begin, b.episode_truths[i].begin) << i;
+    EXPECT_EQ(a.episode_truths[i].end, b.episode_truths[i].end) << i;
+  }
+}
+
 TEST(SideChannelTest, DeterministicAcrossRuns) {
-  ReadMappingSpy a(small_config(1024));
+  // Two independent builds: `b` is made after `a` and its reference are
+  // gone, so it synthesizes and indexes the reference again.
+  const std::size_t before = reference_builds();
+  SideChannelResult ra;
+  {
+    ReadMappingSpy a(small_config(1024));
+    ra = a.run();
+  }
   ReadMappingSpy b(small_config(1024));
-  const auto ra = a.run();
   const auto rb = b.run();
-  EXPECT_EQ(ra.probes.observations, rb.probes.observations);
-  EXPECT_EQ(ra.probes.correct, rb.probes.correct);
-  EXPECT_EQ(ra.victim_seed_events, rb.victim_seed_events);
+  EXPECT_EQ(reference_builds(), before + 2);
+  expect_same_result(ra, rb, "rebuilt");
 }
 
 TEST(SideChannelTest, CamouflageDegradesAttackerAtProportionalCost) {
@@ -79,6 +119,145 @@ TEST(SideChannelTest, RejectsTinyDevices) {
   SideChannelConfig config;
   config.banks = 8;
   EXPECT_THROW(ReadMappingSpy{config}, std::invalid_argument);
+}
+
+// --- One reference per live key -----------------------------------------
+//
+// shared_reference's key is (seed, genome_length, table.buckets,
+// table.max_positions, table.minimizer.k, table.minimizer.w); the other
+// SeedTableConfig fields only stripe the index over the banks
+// (side_channel.cpp's static_asserts on the sizes make a new field get
+// classified here).
+
+struct ConfigChange {
+  const char* field;
+  void (*apply)(SideChannelConfig&);
+};
+
+const ConfigChange kReferenceKeyFields[] = {
+    {"seed", [](SideChannelConfig& c) { ++c.seed; }},
+    {"genome_length", [](SideChannelConfig& c) { c.genome_length += 1024; }},
+    {"table.buckets", [](SideChannelConfig& c) { c.table.buckets *= 2; }},
+    {"table.max_positions",
+     [](SideChannelConfig& c) { c.table.max_positions /= 2; }},
+    {"table.minimizer.k", [](SideChannelConfig& c) { --c.table.minimizer.k; }},
+    {"table.minimizer.w", [](SideChannelConfig& c) { --c.table.minimizer.w; }},
+};
+
+const ConfigChange kStripingFields[] = {
+    {"banks", [](SideChannelConfig& c) { c.banks *= 2; }},
+    {"table.entry_bytes",
+     [](SideChannelConfig& c) { c.table.entry_bytes /= 2; }},
+    {"table.row_bytes", [](SideChannelConfig& c) { c.table.row_bytes *= 2; }},
+    {"table.table_row", [](SideChannelConfig& c) { ++c.table.table_row; }},
+};
+
+SideChannelConfig key_config() {
+  SideChannelConfig config = small_config(1024);
+  config.genome_length = 1u << 14;
+  return config;
+}
+
+TEST(ReferenceKey, EveryKeyFieldGivesItsOwnReference) {
+  const SideChannelConfig config = key_config();
+  std::vector<std::shared_ptr<const genomics::IndexedReference>> held = {
+      shared_reference(config)};
+  for (const ConfigChange& change : kReferenceKeyFields) {
+    SideChannelConfig changed = config;
+    change.apply(changed);
+    const auto reference = shared_reference(changed);
+    for (const auto& other : held) {
+      EXPECT_NE(reference, other) << change.field << " must be in the key";
+    }
+    held.push_back(reference);
+  }
+}
+
+TEST(ReferenceKey, StripingFieldsShareTheReference) {
+  const SideChannelConfig config = key_config();
+  const auto base = shared_reference(config);
+  for (const ConfigChange& change : kStripingFields) {
+    SideChannelConfig changed = config;
+    change.apply(changed);
+    EXPECT_EQ(shared_reference(changed), base)
+        << change.field << " must not be in the key";
+  }
+}
+
+TEST(SharedReference, LiveSpiesShareOneBuildAndTheLastReleaseFreesIt) {
+  const std::size_t before = reference_builds();
+  std::weak_ptr<const genomics::IndexedReference> released;
+  {
+    const ReadMappingSpy a(small_config(1024));
+    const ReadMappingSpy b(small_config(2048));
+    EXPECT_EQ(reference_builds(), before + 1);
+    EXPECT_EQ(a.reference(), b.reference());
+    EXPECT_EQ(&a.table().index(), &b.table().index());
+    EXPECT_EQ(a.table().entries_per_bank(), 16u);  // Striping stays own.
+    EXPECT_EQ(b.table().entries_per_bank(), 8u);
+    released = a.reference();
+  }
+  EXPECT_TRUE(released.expired());
+  const ReadMappingSpy c(small_config(1024));
+  EXPECT_EQ(reference_builds(), before + 2);
+}
+
+TEST(SharedReference, SpyBesideALiveOneMatchesALoneBuild) {
+  for (const std::uint32_t banks : {1024u, 8192u}) {
+    SideChannelResult lone;
+    {
+      ReadMappingSpy spy(small_config(banks));
+      lone = spy.run();
+    }
+    const ReadMappingSpy holder(small_config(2048));
+    const std::size_t before = reference_builds();
+    ReadMappingSpy spy(small_config(banks));
+    EXPECT_EQ(reference_builds(), before);  // Served by the holder's build.
+    expect_same_result(spy.run(), lone, std::to_string(banks) + " banks");
+  }
+}
+
+TEST(SharedReference, SpiesBuiltOnAPoolShareOneBuild) {
+  // Fig. 10's shape: one spy per bank count, built concurrently.
+  constexpr std::uint32_t kBanks[] = {1024, 2048, 4096, 8192};
+  std::vector<std::unique_ptr<ReadMappingSpy>> spies(std::size(kBanks));
+  const std::size_t before = reference_builds();
+  exec::ThreadPool pool(4);
+  pool.for_each_index(spies.size(), [&](std::size_t i) {
+    spies[i] = std::make_unique<ReadMappingSpy>(small_config(kBanks[i]));
+  });
+  EXPECT_EQ(reference_builds(), before + 1);
+  for (const auto& spy : spies) {
+    EXPECT_EQ(spy->reference(), spies.front()->reference());
+    EXPECT_EQ(spy->reference_bases(), 1u << 17);
+  }
+}
+
+/// FNV-1a over 64-bit words of a seed table's total positions, occupancy
+/// and every bucket's positions in order.
+std::uint64_t index_digest(const genomics::SeedTable& table) {
+  std::uint64_t h = 14695981039346656037ull;
+  const auto add = [&h](std::uint64_t v) { h = (h ^ v) * 1099511628211ull; };
+  const std::uint32_t buckets = table.config().buckets;
+  add(table.total_positions());
+  add(static_cast<std::uint64_t>(table.occupancy() * buckets));
+  for (std::uint32_t b = 0; b < buckets; ++b) {
+    const auto positions = table.query_bucket(b);
+    add(positions.size());
+    for (const std::uint32_t p : positions) add(p);
+  }
+  return h;
+}
+
+// Bit-for-bit pin of the index Fig. 10's spies map against: the default
+// config (seed 1234, whose genome is drawn from seed ^ 0x9E3779B97F4A7C15).
+// The constant was computed before the index became shared between spies.
+TEST(SideChannelTest, Fig10ReferenceIndexPin) {
+  const ReadMappingSpy spy{SideChannelConfig{}};
+  EXPECT_EQ(spy.reference_bases(), 1u << 21);
+  EXPECT_EQ(spy.table().total_positions(), 294188u);
+  EXPECT_EQ(spy.table().occupancy(), 1.0);  // Every bucket is hit.
+  EXPECT_EQ(index_digest(spy.table()), 0x0863657fb849d99aull);
 }
 
 }  // namespace

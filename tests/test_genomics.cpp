@@ -2,7 +2,9 @@
 // minimizers, seed table, chaining, alignment, mapper).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
+#include <memory>
 
 #include "genomics/align.hpp"
 #include "genomics/chain.hpp"
@@ -218,6 +220,44 @@ TEST(SeedTableTest, GeometryMatchesPaper) {
   SeedTable t2048(config, 2048);
   EXPECT_EQ(t2048.entries_per_bank(), 8u);
   EXPECT_THROW(SeedTable(config, 1000), std::invalid_argument);  // Divides?
+  // 32 entries of 512 bytes overflow an 8 KiB row.
+  EXPECT_THROW(SeedTable(config, 512), std::invalid_argument);
+  // A view of a shared index checks the striping the same way.
+  const auto index = std::make_shared<const SeedIndex>(config);
+  EXPECT_NO_THROW(SeedTable(config, 1024, index));
+  EXPECT_THROW(SeedTable(config, 1000, index), std::invalid_argument);
+  EXPECT_THROW(SeedTable(config, 512, index), std::invalid_argument);
+  EXPECT_THROW(SeedTable(config, 1024, nullptr), std::invalid_argument);
+  // And it refuses an index built under another index config.
+  SeedTableConfig other = config;
+  other.max_positions = 32;
+  EXPECT_THROW(SeedTable(other, 1024, index), std::invalid_argument);
+  other = config;
+  other.minimizer.w = 5;
+  EXPECT_THROW(SeedTable(other, 1024, index), std::invalid_argument);
+}
+
+TEST(SeedTableTest, ViewsOfOneIndexDifferOnlyInStriping) {
+  util::Xoshiro256 rng(35);
+  const auto g = Genome::synthesize(100000, rng);
+  SeedTableConfig config;
+  const auto index = std::make_shared<const SeedIndex>(config, g);
+  const SeedTable t1024(config, 1024, index);
+  const SeedTable t8192(config, 8192, index);
+  SeedTable own(config, 1024);
+  own.build(g);
+  EXPECT_EQ(&t1024.index(), &t8192.index());
+  EXPECT_EQ(t8192.entries_per_bank(), 2u);
+  EXPECT_EQ(t1024.locate(5000).bank, 5000u % 1024);
+  EXPECT_EQ(t8192.locate(5000).bank, 5000u);
+  EXPECT_EQ(t1024.total_positions(), own.total_positions());
+  for (std::uint32_t b = 0; b < config.buckets; b += 97) {
+    const auto shared = t8192.query_bucket(b);
+    const auto built = own.query_bucket(b);
+    ASSERT_TRUE(std::equal(shared.begin(), shared.end(), built.begin(),
+                           built.end()))
+        << "bucket " << b;
+  }
 }
 
 TEST(SeedTableTest, LocateLaysEntriesInOneRowPerBank) {
@@ -251,10 +291,13 @@ TEST(SeedTableTest, QueryReturnsIndexedPositions) {
   EXPECT_GT(found, 40u);  // A few may be capped out of full buckets.
 }
 
-// Bit-for-bit pin of the Fig. 10 seed table (the 2 Mbase reference every
-// ReadMappingSpy indexes). The constant was computed before the flat
-// storage and the rolling minimizer kernel went in: any change to which
-// positions land in which bucket, or in what order, shows here.
+// Bit-for-bit pin of a 2 Mbase seed table at Fig. 10's size and index
+// config, over a genome drawn straight from seed 1234. A ReadMappingSpy of
+// seed 1234 draws its genome from seed ^ 0x9E3779B97F4A7C15 instead;
+// test_attacks_side's SideChannelTest.Fig10ReferenceIndexPin pins the
+// index the spy actually maps against. The constant was computed before
+// the flat storage and the rolling minimizer kernel went in: any change to
+// which positions land in which bucket, or in what order, shows here.
 TEST(SeedTableTest, Fig10TablePin) {
   util::Xoshiro256 rng(1234);
   const auto g = Genome::synthesize(1 << 21, rng);

@@ -368,9 +368,9 @@ RunStats reference_run(const MultiprogConfig& config,
   sys::MemorySystem system(sys_config);
   const WorkloadTrace& trace = input.trace;
   const RefArrays map_a =
-      ref_map_arrays(system, input.graph, trace, kRefInstanceA, nullptr);
+      ref_map_arrays(system, *input.graph, trace, kRefInstanceA, nullptr);
   const RefArrays map_b =
-      ref_map_arrays(system, input.graph, trace, kRefInstanceB, &map_a);
+      ref_map_arrays(system, *input.graph, trace, kRefInstanceB, &map_a);
   sys::MemorySystem::AccessPort port_a = system.port(kRefInstanceA);
   sys::MemorySystem::AccessPort port_b = system.port(kRefInstanceB);
 
@@ -669,6 +669,85 @@ TEST(FrontEndMemoKey, FieldsOutsideTheKeyLeaveTheFrontEndUnchanged) {
   }
 }
 
+// --- One RMAT graph per live key ------------------------------------------
+//
+// shared_graph's key is (graph_seed, rmat_scale, edge_count); `system` is
+// the only other MultiprogConfig field, and no change to it reaches the
+// generator (multiprog.cpp's static_assert on the size makes a new field
+// get classified here).
+
+struct ConfigChange {
+  const char* field;
+  void (*apply)(MultiprogConfig&);
+};
+
+const ConfigChange kGraphKeyFields[] = {
+    {"graph_seed", [](MultiprogConfig& c) { ++c.graph_seed; }},
+    {"rmat_scale", [](MultiprogConfig& c) { ++c.rmat_scale; }},
+    {"edge_count", [](MultiprogConfig& c) { c.edge_count += 64; }},
+};
+
+const ConfigChange kGraphNonKeyFields[] = {
+    {"system.seed", [](MultiprogConfig& c) { ++c.system.seed; }},
+    {"system.cache_scale",
+     [](MultiprogConfig& c) { c.system.cache_scale = 1; }},
+    {"system.dram.policy",
+     [](MultiprogConfig& c) {
+       c.system.dram.policy = dram::RowPolicy::kClosedRow;
+     }},
+    {"system.dram.banks_per_rank",
+     [](MultiprogConfig& c) { c.system.dram.banks_per_rank *= 2; }},
+};
+
+TEST(GraphKey, EveryKeyFieldGivesItsOwnGraph) {
+  const MultiprogConfig config = split_config();
+  const std::shared_ptr<const CsrGraph> base = shared_graph(config);
+  std::vector<std::shared_ptr<const CsrGraph>> held = {base};
+  for (const ConfigChange& change : kGraphKeyFields) {
+    MultiprogConfig changed = config;
+    change.apply(changed);
+    const std::shared_ptr<const CsrGraph> graph = shared_graph(changed);
+    for (const auto& other : held) {
+      EXPECT_NE(graph, other) << change.field << " must be in the key";
+    }
+    held.push_back(graph);
+  }
+}
+
+TEST(GraphKey, SystemFieldsShareTheGraph) {
+  const MultiprogConfig config = split_config();
+  const std::shared_ptr<const CsrGraph> base = shared_graph(config);
+  for (const ConfigChange& change : kGraphNonKeyFields) {
+    MultiprogConfig changed = config;
+    change.apply(changed);
+    EXPECT_EQ(shared_graph(changed), base)
+        << change.field << " must not be in the key";
+  }
+}
+
+TEST(SharedGraph, LiveInputsOfDifferentKindsShareOneGraph) {
+  const MultiprogConfig config = split_config();
+  const std::size_t before = graph_builds();
+  std::weak_ptr<const CsrGraph> released;
+  {
+    const WorkloadInput bfs = build_input(config, WorkloadKind::kBFS);
+    const WorkloadInput pr = build_input(config, WorkloadKind::kPR);
+    EXPECT_EQ(bfs.graph, pr.graph);
+    EXPECT_EQ(graph_builds(), before + 1);
+    // The shared graph is the one a fresh generator run makes.
+    util::Xoshiro256 rng(config.graph_seed);
+    const CsrGraph fresh =
+        CsrGraph::rmat(config.rmat_scale, config.edge_count, rng);
+    EXPECT_EQ(csr_digest(*bfs.graph), csr_digest(fresh));
+    released = bfs.graph;
+  }
+  // The last holder is gone: the graph is freed and the next input
+  // builds it again.
+  EXPECT_TRUE(released.expired());
+  const WorkloadInput again = build_input(config, WorkloadKind::kTC);
+  EXPECT_EQ(graph_builds(), before + 2);
+}
+
 // --- Hand-built inputs for the back end's merge edge cases ---------------
 
 /// A small shared graph plus a hand-written trace. Private array 0 spans
@@ -676,7 +755,8 @@ TEST(FrontEndMemoKey, FieldsOutsideTheKeyLeaveTheFrontEndUnchanged) {
 WorkloadInput hand_built(std::vector<TraceOp> ops) {
   util::Xoshiro256 rng(3);
   WorkloadInput input;
-  input.graph = CsrGraph::uniform(1024, 8192, rng);
+  input.graph =
+      std::make_shared<const CsrGraph>(CsrGraph::uniform(1024, 8192, rng));
   input.trace.ops = std::move(ops);
   input.trace.private_elems[0] = 1u << 16;
   return input;

@@ -1,13 +1,21 @@
 // Unit tests: util (rng, stats, bitvec, histogram, table, units, JSON
-// escaping).
+// escaping, intern table).
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cmath>
+#include <latch>
+#include <memory>
 #include <set>
+#include <stdexcept>
 #include <string_view>
+#include <thread>
+#include <vector>
 
 #include "util/bitvec.hpp"
 #include "util/histogram.hpp"
+#include "util/intern.hpp"
 #include "util/json.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -252,6 +260,65 @@ TEST(JsonEscape, EscapesQuotesBackslashesAndControlCharacters) {
   EXPECT_EQ(json_escape(std::string_view("\x01\x1f\0", 3)),
             "\\u0001\\u001f\\u0000");
   EXPECT_EQ(json_escape("2\"x"), "2\\\"x");
+}
+
+TEST(InternTable, SharesWhileHeldAndRebuildsAfterRelease) {
+  InternTable<int, std::vector<int>> table;
+  int calls = 0;
+  const auto build = [&calls] {
+    ++calls;
+    return std::vector<int>(4, calls);
+  };
+  std::weak_ptr<const std::vector<int>> released;
+  {
+    const auto a = table.acquire(1, build);
+    const auto b = table.acquire(1, build);
+    const auto other = table.acquire(2, build);
+    EXPECT_EQ(a, b);
+    EXPECT_NE(a, other);
+    EXPECT_EQ(calls, 2);
+    EXPECT_EQ(table.builds(), 2u);
+    released = a;
+  }
+  EXPECT_TRUE(released.expired());  // Nothing outlives its users.
+  const auto rebuilt = table.acquire(1, build);
+  EXPECT_EQ(calls, 3);
+  EXPECT_EQ(table.builds(), 3u);
+  EXPECT_EQ(rebuilt->front(), 3);
+}
+
+TEST(InternTable, AFailedBuildLeavesNoEntry) {
+  InternTable<int, int> table;
+  EXPECT_THROW((void)table.acquire(
+                   7, []() -> int { throw std::runtime_error("no"); }),
+               std::runtime_error);
+  EXPECT_EQ(table.builds(), 0u);
+  EXPECT_EQ(*table.acquire(7, [] { return 42; }), 42);
+  EXPECT_EQ(table.builds(), 1u);
+}
+
+TEST(InternTable, ConcurrentAcquiresOfOneKeyBuildOnce) {
+  InternTable<int, std::vector<int>> table;
+  std::atomic<int> calls{0};
+  constexpr int kThreads = 4;
+  std::latch start(kThreads);
+  std::vector<std::shared_ptr<const std::vector<int>>> got(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      got[t] = table.acquire(5, [&calls] {
+        ++calls;
+        // Long enough that the other acquires arrive mid-build.
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        return std::vector<int>(1024, 5);
+      });
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(calls.load(), 1);
+  EXPECT_EQ(table.builds(), 1u);
+  for (const auto& value : got) EXPECT_EQ(value, got.front());
 }
 
 }  // namespace

@@ -12,9 +12,10 @@
 #   3b. the same suite again with IMPACT_FAULTS=heavy: fault-aware tests
 #      layer the heavy fault profile onto their scenarios and must still
 #      recover; everything else must be unaffected (injection is opt-in),
-#   4. a ThreadSanitizer build + the exec-engine and store tests, and the
-#      graph tests of the concurrent front end, under it (TSan and ASan
-#      cannot share a binary, so this is a separate build tree),
+#   4. a ThreadSanitizer build + the exec-engine and store tests, the
+#      graph tests of the concurrent front end, and the tests of the
+#      shared-input intern tables, under it (TSan and ASan cannot share a
+#      binary, so this is a separate build tree),
 #   5. obs spine: `impact run quickstart --trace` JSON validation
 #      (dram/pim/channel spans present, events well-formed),
 #   6. experiment store: a cold->warm->warm cycle of `impact run fig11`
@@ -147,19 +148,25 @@ fi
 # (test_store), and the graph front end, which records the two
 # co-scheduled instances on two threads (test_graph: the inline-vs-threaded
 # and error-propagation tests, FrontEndSplit's BC and TC cases under one
-# mapping, the hand-built edge cases and Multiprog). Running them under
+# mapping, the hand-built edge cases and Multiprog), and the intern tables
+# that share the figure inputs between live users (test_util: four threads
+# acquiring one key; test_attacks_side: Fig. 10's spies built on a pool;
+# test_graph: inputs sharing one graph). Running them under
 # ThreadSanitizer catches ordering bugs the serial suite cannot. Separate
 # build tree: TSan excludes ASan.
 TSAN_DIR="${ROOT}/build-tsan"
 TSAN_GRAPH_FILTER='ConcurrentFrontEnd.*:FrontEndSplitEdges.*:Multiprog.*'
 TSAN_GRAPH_FILTER+=':SmallInputs/FrontEndSplit.*/BC_bank_interleaved'
 TSAN_GRAPH_FILTER+=':SmallInputs/FrontEndSplit.*/TC_bank_interleaved'
+TSAN_GRAPH_FILTER+=':SharedGraph.*'
+TSAN_UTIL_FILTER='InternTable.*'
+TSAN_SIDE_FILTER='SharedReference.SpiesBuiltOnAPoolShareOneBuild'
 cmake -S "${ROOT}" -B "${TSAN_DIR}" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DIMPACT_SANITIZE=thread \
   > /dev/null \
   && cmake --build "${TSAN_DIR}" -j "${JOBS}" \
-       --target test_exec test_store test_graph
+       --target test_exec test_store test_graph test_util test_attacks_side
 if [ $? -eq 0 ]; then
   ( cd "${TSAN_DIR}" \
     && IMPACT_CHECK=1 \
@@ -167,7 +174,13 @@ if [ $? -eq 0 ]; then
        ctest -R '^test_(exec|store)$' --output-on-failure \
     && IMPACT_CHECK=1 \
        TSAN_OPTIONS=halt_on_error=1 \
-       ./tests/test_graph --gtest_filter="${TSAN_GRAPH_FILTER}" )
+       ./tests/test_graph --gtest_filter="${TSAN_GRAPH_FILTER}" \
+    && IMPACT_CHECK=1 \
+       TSAN_OPTIONS=halt_on_error=1 \
+       ./tests/test_util --gtest_filter="${TSAN_UTIL_FILTER}" \
+    && IMPACT_CHECK=1 \
+       TSAN_OPTIONS=halt_on_error=1 \
+       ./tests/test_attacks_side --gtest_filter="${TSAN_SIDE_FILTER}" )
   stage tsan $?
 else
   STATUS[tsan]="FAIL (build)"

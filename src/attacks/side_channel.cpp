@@ -42,22 +42,88 @@ struct ReferenceKey {
   auto operator<=>(const ReferenceKey&) const = default;
 };
 
+ReferenceKey reference_key(const SideChannelConfig& config) {
+  return {config.seed,
+          config.genome_length,
+          config.table.buckets,
+          config.table.max_positions,
+          config.table.minimizer.k,
+          config.table.minimizer.w};
+}
+
 util::InternTable<ReferenceKey, genomics::IndexedReference>& references() {
   static util::InternTable<ReferenceKey, genomics::IndexedReference> table;
   return table;
+}
+
+/// Every field of the read simulator and the mapper is in the victim plan
+/// key: read_length and substitution_rate shape the reads; the chain,
+/// align, candidate_flank and min_chain_anchors fields steer the mapping.
+/// A new field changes a size: classify it here and in
+/// test_attacks_side's VictimPlanKey tests before updating the size.
+/// MapperConfig ends in 4 bytes of padding, which a new 4-byte field would
+/// fill without changing its size; check its fields by hand.
+static_assert(sizeof(genomics::ReadSimConfig) == 16,
+              "classify the new ReadSimConfig field for VictimPlanKey");
+static_assert(sizeof(genomics::ChainConfig) == 16,
+              "classify the new ChainConfig field for VictimPlanKey");
+static_assert(sizeof(genomics::AlignConfig) == 4,
+              "classify the new AlignConfig field for VictimPlanKey");
+static_assert(sizeof(genomics::MapperConfig) == 32,
+              "classify the new MapperConfig field for VictimPlanKey");
+
+/// Everything shared_victim_plan's build reads. The read RNG is seeded
+/// from reference.seed.
+struct VictimPlanKey {
+  ReferenceKey reference;
+  std::size_t reads = 0;
+  std::size_t read_length = 0;
+  double substitution_rate = 0.0;
+  std::uint32_t max_gap = 0;
+  std::uint32_t max_skip = 0;
+  double gap_penalty = 0.0;
+  std::uint32_t band = 0;
+  std::uint32_t candidate_flank = 0;
+  std::uint32_t min_chain_anchors = 0;
+  std::uint32_t bases_per_row = 0;
+
+  auto operator<=>(const VictimPlanKey&) const = default;
+};
+
+util::InternTable<VictimPlanKey, VictimPlan>& victim_plans() {
+  static util::InternTable<VictimPlanKey, VictimPlan> table;
+  return table;
+}
+
+/// Maps the victim's read batch against the shared reference.
+VictimPlan map_victim(const SideChannelConfig& config,
+                      std::uint32_t bases_per_row) {
+  VictimPlan plan;
+  plan.reference = shared_reference(config);
+  const genomics::Genome& genome = plan.reference->genome;
+  std::uint32_t current_read = 0;
+  genomics::ReadMapper mapper(
+      genome, plan.reference->index, bases_per_row, config.mapper,
+      [&plan, &current_read](const genomics::MemoryTouch& t) {
+        plan.touches.push_back(t);
+        plan.touch_read.push_back(current_read);
+      });
+  for (const auto& read : victim_reads(config, genome)) {
+    current_read = static_cast<std::uint32_t>(plan.read_positions.size());
+    plan.read_positions.push_back(read.true_position);
+    const auto m = mapper.map(read);
+    const auto delta = static_cast<std::int64_t>(m.position) -
+                       static_cast<std::int64_t>(read.true_position);
+    if (m.mapped && std::llabs(delta) <= 5) ++plan.mapped_ok;
+  }
+  return plan;
 }
 
 }  // namespace
 
 std::shared_ptr<const genomics::IndexedReference> shared_reference(
     const SideChannelConfig& config) {
-  const ReferenceKey key{config.seed,
-                         config.genome_length,
-                         config.table.buckets,
-                         config.table.max_positions,
-                         config.table.minimizer.k,
-                         config.table.minimizer.w};
-  return references().acquire(key, [&config] {
+  return references().acquire(reference_key(config), [&config] {
     util::Xoshiro256 genome_rng(config.seed ^ 0x9E3779B97F4A7C15ull);
     genomics::Genome genome =
         genomics::Genome::synthesize(config.genome_length, genome_rng);
@@ -68,9 +134,39 @@ std::shared_ptr<const genomics::IndexedReference> shared_reference(
 
 std::size_t reference_builds() { return references().builds(); }
 
+std::vector<genomics::Read> victim_reads(const SideChannelConfig& config,
+                                         const genomics::Genome& genome) {
+  util::Xoshiro256 read_rng(config.seed ^ 0xABCDEF12345678ull);
+  return genomics::sample_reads(genome, config.reads, config.readsim,
+                                read_rng);
+}
+
+std::shared_ptr<const VictimPlan> shared_victim_plan(
+    const SideChannelConfig& config) {
+  const std::uint32_t bases_per_row = config.table.row_bytes * 4;
+  const genomics::MapperConfig& mapper = config.mapper;
+  const VictimPlanKey key{reference_key(config),
+                          config.reads,
+                          config.readsim.read_length,
+                          config.readsim.substitution_rate,
+                          mapper.chain.max_gap,
+                          mapper.chain.max_skip,
+                          mapper.chain.gap_penalty,
+                          mapper.align.band,
+                          mapper.candidate_flank,
+                          mapper.min_chain_anchors,
+                          bases_per_row};
+  return victim_plans().acquire(key, [&config, bases_per_row] {
+    return map_victim(config, bases_per_row);
+  });
+}
+
+std::size_t victim_plan_builds() { return victim_plans().builds(); }
+
 ReadMappingSpy::ReadMappingSpy(SideChannelConfig config)
     : config_(config), rng_(config.seed) {
   util::check(config_.banks >= 16, "SideChannelConfig: needs >= 16 banks");
+  util::check(config_.reads > 0, "SideChannelConfig: needs >= 1 read");
 
   system_config_.dram.channels = 1;
   system_config_.dram.ranks = 1;
@@ -88,6 +184,9 @@ ReadMappingSpy::ReadMappingSpy(SideChannelConfig config)
       config_.table, config_.banks,
       std::shared_ptr<const genomics::SeedIndex>(reference_,
                                                  &reference_->index));
+  layout_ = genomics::ReferenceLayout{config_.banks, /*base_row=*/32,
+                                      system_config_.dram.row_bytes,
+                                      system_config_.dram.row_bytes * 4};
 
   victim_pei_ =
       std::make_unique<pim::PeiDispatcher>(config_.pei, *system_, kVictim);
@@ -169,34 +268,17 @@ bool ReadMappingSpy::attacker_probe(std::uint32_t bank) {
 SideChannelResult ReadMappingSpy::run() {
   SideChannelResult result;
 
-  // --- Record the victim's offload trace (pure algorithm). -------------
-  victim_trace_.clear();
-  touch_read_.clear();
-  read_positions_.clear();
-  genomics::ReferenceLayout layout{config_.banks, /*base_row=*/32,
-                                   system_config_.dram.row_bytes,
-                                   system_config_.dram.row_bytes * 4};
-  std::uint32_t current_read = 0;
-  genomics::ReadMapper mapper(
-      reference_->genome, *table_, layout, config_.mapper,
-      [this, &current_read](const genomics::MemoryTouch& t) {
-        victim_trace_.push_back(t);
-        touch_read_.push_back(current_read);
-      });
-  util::Xoshiro256 read_rng(config_.seed ^ 0xABCDEF12345678ull);
-  const auto reads = genomics::sample_reads(
-      reference_->genome, config_.reads, config_.readsim, read_rng);
-  std::size_t mapped_ok = 0;
-  for (const auto& read : reads) {
-    current_read = static_cast<std::uint32_t>(read_positions_.size());
-    read_positions_.push_back(read.true_position);
-    const auto m = mapper.map(read);
-    const auto delta = static_cast<std::int64_t>(m.position) -
-                       static_cast<std::int64_t>(read.true_position);
-    if (m.mapped && std::llabs(delta) <= 5) ++mapped_ok;
+  // --- Locate the victim's shared mapping plan on this device. ----------
+  plan_ = shared_victim_plan(config_);
+  util::check(!plan_->touches.empty(),
+              "ReadMappingSpy: the victim's reads touch no memory");
+  victim_trace_ = plan_->touches;
+  for (genomics::MemoryTouch& t : victim_trace_) {
+    t.location = genomics::locate(t, *table_, layout_);
   }
-  result.victim_accuracy =
-      static_cast<double>(mapped_ok) / static_cast<double>(reads.size());
+  const std::vector<std::uint32_t>& touch_read = plan_->touch_read;
+  result.victim_accuracy = static_cast<double>(plan_->mapped_ok) /
+                           static_cast<double>(config_.reads);
 
   // --- Attacker setup + calibration. -----------------------------------
   // The probe array is one huge-page-backed row span covering row
@@ -257,11 +339,11 @@ SideChannelResult ReadMappingSpy::run() {
 
   // Ground-truth read episodes (evaluation only): opened/closed as the
   // victim's trace replay crosses read boundaries.
-  std::uint32_t truth_read = touch_read_.empty() ? 0 : touch_read_[0];
+  std::uint32_t truth_read = touch_read[0];
   util::Cycle truth_begin = victim_clock_;
   auto close_episode = [&](util::Cycle end) {
     result.episode_truths.push_back(EpisodeTruth{
-        read_positions_[truth_read], truth_begin, end});
+        plan_->read_positions[truth_read], truth_begin, end});
   };
 
   // Run to steady state: the victim replays its mapping workload
@@ -272,11 +354,11 @@ SideChannelResult ReadMappingSpy::run() {
   util::Cycle victim_total_cycles = 0;
   while (result.probes.observations < target_probes) {
     if (victim_clock_ <= attacker_clock_) {
-      if (touch_read_[tv] != truth_read) {
+      if (touch_read[tv] != truth_read) {
         close_episode(victim_clock_);
         // Unpipelined per-read tail work (see victim_alignment_compute).
         victim_clock_ += config_.victim_alignment_compute;
-        truth_read = touch_read_[tv];
+        truth_read = touch_read[tv];
         truth_begin = victim_clock_;
       }
       const util::Cycle before = victim_clock_;

@@ -126,12 +126,44 @@ shared_reference(const SideChannelConfig& config);
 /// hook: sharing shows as builds not made).
 [[nodiscard]] std::size_t reference_builds();
 
+/// The victim's reads of a spy of `config`, drawn from `genome`.
+[[nodiscard]] std::vector<genomics::Read> victim_reads(
+    const SideChannelConfig& config, const genomics::Genome& genome);
+
+/// The victim's mapping of its read batch, for no device in particular:
+/// each touch names its bucket or reference position and leaves its
+/// location unset, so spies of every bank count replay the same plan.
+struct VictimPlan {
+  /// The reference the reads are sampled from and mapped against; holding
+  /// a plan keeps it alive.
+  std::shared_ptr<const genomics::IndexedReference> reference;
+  std::vector<genomics::MemoryTouch> touches;
+  std::vector<std::uint32_t> touch_read;    ///< Read index per touch.
+  std::vector<std::size_t> read_positions;  ///< True locus per read.
+  std::size_t mapped_ok = 0;  ///< Reads mapped within 5 bases of their locus.
+};
+
+/// The victim plan of a spy of `config`: a pure function of the
+/// shared_reference key, reads, readsim, mapper and 4 * table.row_bytes
+/// (the bases of one reference row; a spy sets table.row_bytes to its
+/// device's row size). Nothing in it depends on the bank count, so live
+/// spies that differ only in banks, the camouflage and timing fields or
+/// attacker_row share one build; the build is freed with its last holder.
+[[nodiscard]] std::shared_ptr<const VictimPlan> shared_victim_plan(
+    const SideChannelConfig& config);
+
+/// Plans shared_victim_plan has built so far in this process (a test hook,
+/// like reference_builds).
+[[nodiscard]] std::size_t victim_plan_builds();
+
 class ReadMappingSpy {
  public:
   explicit ReadMappingSpy(SideChannelConfig config = {});
 
   /// Runs the full co-simulation: victim maps its reads while the attacker
-  /// sweeps all banks; returns throughput/error/precision accounting.
+  /// sweeps all banks; returns throughput/error/precision accounting. The
+  /// victim's mapping is the shared plan (shared_victim_plan), acquired
+  /// here and held by the spy.
   SideChannelResult run();
 
   [[nodiscard]] const sys::SystemConfig& system_config() const {
@@ -149,6 +181,20 @@ class ReadMappingSpy {
   reference() const {
     return reference_;
   }
+  /// Where the reference's rows sit on this spy's device.
+  [[nodiscard]] const genomics::ReferenceLayout& layout() const {
+    return layout_;
+  }
+  /// The victim plan the last run() replayed (null before the first run):
+  /// holding it keeps the plan and its reference alive for the next spy.
+  [[nodiscard]] const std::shared_ptr<const VictimPlan>& plan() const {
+    return plan_;
+  }
+  /// The plan's touches located on this device (empty before run()).
+  [[nodiscard]] const std::vector<genomics::MemoryTouch>& victim_trace()
+      const {
+    return victim_trace_;
+  }
 
  private:
   /// One victim PiM offload (seed probe or reference fetch).
@@ -164,9 +210,9 @@ class ReadMappingSpy {
   std::unique_ptr<sys::MemorySystem> system_;
   std::shared_ptr<const genomics::IndexedReference> reference_;
   std::unique_ptr<genomics::SeedTable> table_;  ///< Striped over banks.
-  std::vector<genomics::MemoryTouch> victim_trace_;
-  std::vector<std::uint32_t> touch_read_;  ///< Read index per trace touch.
-  std::vector<std::size_t> read_positions_;  ///< True locus per read.
+  genomics::ReferenceLayout layout_;
+  std::shared_ptr<const VictimPlan> plan_;
+  std::vector<genomics::MemoryTouch> victim_trace_;  ///< plan_'s, located.
 
   std::unique_ptr<pim::PeiDispatcher> victim_pei_;
   std::unique_ptr<pim::PeiDispatcher> attacker_pei_;

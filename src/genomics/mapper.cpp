@@ -9,28 +9,43 @@ ReadMapper::ReadMapper(const Genome& reference, const SeedTable& table,
                        ReferenceLayout layout, MapperConfig config,
                        TouchSink sink)
     : reference_(&reference),
+      index_(&table.index()),
       table_(&table),
       layout_(layout),
       config_(config),
       sink_(std::move(sink)) {}
 
+ReadMapper::ReadMapper(const Genome& reference, const SeedIndex& index,
+                       std::uint32_t bases_per_row, MapperConfig config,
+                       TouchSink sink)
+    : reference_(&reference),
+      index_(&index),
+      table_(nullptr),
+      layout_{.bases_per_row = bases_per_row},
+      config_(config),
+      sink_(std::move(sink)) {}
+
+void ReadMapper::touch(MemoryTouch t) const {
+  if (table_ != nullptr) t.location = locate(t, *table_, layout_);
+  sink_(t);
+}
+
 MappingResult ReadMapper::map(const Read& read) {
   MappingResult result;
 
   // --- Seeding: probe the shared hash table for every read minimizer. ---
-  const auto minimizers =
-      extract_minimizers(read.bases, table_->config().minimizer);
+  const MinimizerConfig& minimizer = index_->minimizer();
+  const auto minimizers = extract_minimizers(read.bases, minimizer);
   std::vector<Anchor> anchors;
   for (const auto& m : minimizers) {
-    const std::uint32_t bucket = table_->bucket_of(m.hash);
+    const std::uint32_t bucket = index_->bucket_of(m.hash);
     if (sink_) {
-      sink_(MemoryTouch{MemoryTouch::Kind::kSeedProbe,
-                        table_->locate(bucket), bucket});
+      touch(MemoryTouch{.kind = MemoryTouch::Kind::kSeedProbe,
+                        .bucket = bucket});
     }
     ++result.seed_probes;
-    for (std::uint32_t ref_pos : table_->query(m.hash)) {
-      anchors.push_back(Anchor{m.position, ref_pos,
-                               table_->config().minimizer.k});
+    for (std::uint32_t ref_pos : index_->query_bucket(bucket)) {
+      anchors.push_back(Anchor{m.position, ref_pos, minimizer.k});
     }
   }
   if (anchors.empty()) return result;
@@ -56,8 +71,8 @@ MappingResult ReadMapper::map(const Read& read) {
     const std::size_t chunk_bases = layout_.bases_per_row;
     for (std::size_t pos = start; pos < start + len;
          pos += chunk_bases - (pos % chunk_bases)) {
-      sink_(MemoryTouch{MemoryTouch::Kind::kRefFetch, layout_.locate(pos),
-                        0});
+      touch(MemoryTouch{.kind = MemoryTouch::Kind::kRefFetch,
+                        .ref_position = pos});
     }
   }
   const auto target = reference_->slice(start, len);

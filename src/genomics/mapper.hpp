@@ -19,13 +19,25 @@
 
 namespace impact::genomics {
 
-/// One DRAM-visible access performed by the mapper's PiM offload.
+/// One DRAM-visible access performed by the mapper's PiM offload. Its
+/// kind with `bucket` or `ref_position` names what it reads on any device;
+/// `location` is where that lands on one device (see locate).
 struct MemoryTouch {
   enum class Kind : std::uint8_t { kSeedProbe, kRefFetch };
   Kind kind = Kind::kSeedProbe;
   TableLocation location{};
-  std::uint32_t bucket = 0;  ///< Valid for kSeedProbe.
+  std::uint32_t bucket = 0;        ///< Valid for kSeedProbe.
+  std::size_t ref_position = 0;    ///< Valid for kRefFetch: first base read.
 };
+
+/// Where `touch` lands on the device `table` and `layout` stripe over.
+[[nodiscard]] inline TableLocation locate(const MemoryTouch& touch,
+                                          const SeedTable& table,
+                                          const ReferenceLayout& layout) {
+  return touch.kind == MemoryTouch::Kind::kSeedProbe
+             ? table.locate(touch.bucket)
+             : layout.locate(touch.ref_position);
+}
 
 using TouchSink = std::function<void(const MemoryTouch&)>;
 
@@ -46,9 +58,18 @@ struct MappingResult {
 
 class ReadMapper {
  public:
-  /// All references must outlive the mapper. `sink` may be empty.
+  /// All references must outlive the mapper. `sink` may be empty. Touches
+  /// carry their location on the device `table` and `layout` stripe over.
   ReadMapper(const Genome& reference, const SeedTable& table,
              ReferenceLayout layout, MapperConfig config = {},
+             TouchSink sink = {});
+  /// A mapper for no device in particular: touches carry only their kind
+  /// and bucket or reference position. The control flow reads only the
+  /// genome, the index and `bases_per_row`, so it emits the touches the
+  /// constructor above would, for a table viewing `index` and a layout of
+  /// `bases_per_row`, less their locations.
+  ReadMapper(const Genome& reference, const SeedIndex& index,
+             std::uint32_t bases_per_row, MapperConfig config = {},
              TouchSink sink = {});
 
   /// Maps one read: seeding (hash-table probes) -> chaining -> banded
@@ -56,8 +77,12 @@ class ReadMapper {
   MappingResult map(const Read& read);
 
  private:
+  /// Locates `t` if the mapper has a device, then reports it.
+  void touch(MemoryTouch t) const;
+
   const Genome* reference_;
-  const SeedTable* table_;
+  const SeedIndex* index_;
+  const SeedTable* table_;  ///< Null for a device-independent mapper.
   ReferenceLayout layout_;
   MapperConfig config_;
   TouchSink sink_;

@@ -23,17 +23,17 @@ int run_ablation_camouflage(Context&) {
 
   util::Table table({"dummies/probe", "attacker error", "probe tput (Mb/s)",
                      "event capture (Mb/s)", "victim slowdown"});
-  // Every spy maps against one reference: holding the first spy's keeps
-  // it alive, so the loop builds it once.
-  std::shared_ptr<const genomics::IndexedReference> reference;
+  // Every spy replays one victim plan: holding the last spy's keeps it
+  // and its reference alive, so the loop builds and maps them once.
+  std::shared_ptr<const attacks::VictimPlan> plan;
   for (const std::uint32_t d : {0u, 1u, 2u, 4u, 8u}) {
     attacks::SideChannelConfig config;
     config.banks = 1024;
     config.reads = 32;
     config.dummy_probes_per_touch = d;
     attacks::ReadMappingSpy spy(config);
-    reference = spy.reference();
     const auto r = spy.run();
+    plan = spy.plan();
     table.add_row(
         {std::to_string(d),
          util::Table::num(100.0 * r.probes.error_rate(), 1) + "%",

@@ -26,9 +26,9 @@ int run_completion_attack(Context&) {
 
   util::Table table({"banks", "episodes", "top-5 hit rate",
                      "candidates/episode", "reduction vs reference"});
-  // Every spy maps against one reference: holding the first spy's keeps
-  // it alive, so the loop builds it once.
-  std::shared_ptr<const genomics::IndexedReference> reference;
+  // Every spy replays one victim plan: holding the last spy's keeps it
+  // and its reference alive, so the loop builds and maps them once.
+  std::shared_ptr<const attacks::VictimPlan> plan;
   for (const std::uint32_t banks : {1024u, 2048u, 4096u, 8192u}) {
     attacks::SideChannelConfig config;
     config.banks = banks;
@@ -39,8 +39,8 @@ int run_completion_attack(Context&) {
     // episode segmentation keys on.
     config.victim_alignment_compute = banks * 600ull;
     attacks::ReadMappingSpy spy(config);
-    reference = spy.reference();
     const auto run = spy.run();
+    plan = spy.plan();
 
     attacks::GenomeInference inference(
         spy.table(), spy.reference_bases(),

@@ -48,10 +48,11 @@ int run_fig10(Context& ctx) {
   const std::vector<std::uint32_t>& bank_counts = fig10_bank_counts();
   constexpr std::size_t kTableCols = 7;  // Cells 0-6: table; 7-12: CSV.
 
-  // Each simulated cell keeps its spy's reference alive until the loop
-  // ends, so the cells share one reference build even when they run one
-  // after another; cells the store serves build none.
-  std::vector<std::shared_ptr<const genomics::IndexedReference>> references(
+  // Each simulated cell keeps its spy's victim plan (and with it the
+  // reference) alive until the loop ends, so the cells share one reference
+  // build and one mapping even when they run one after another; cells the
+  // store serves build none.
+  std::vector<std::shared_ptr<const attacks::VictimPlan>> plans(
       bank_counts.size());
   store::CellRunner& runner = ctx.runner();
   const auto result = runner.rows(
@@ -67,8 +68,8 @@ int run_fig10(Context& ctx) {
         attacks::SideChannelConfig config;
         config.banks = banks;
         attacks::ReadMappingSpy spy(config);
-        references[i] = spy.reference();
         const auto r = spy.run();
+        plans[i] = spy.plan();
         // Table columns first, CSV columns after — one flat row so the
         // cache record carries both renderings.
         return std::vector<std::string>{

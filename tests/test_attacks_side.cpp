@@ -1,9 +1,12 @@
 // Integration tests: the read-mapping side channel.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <iterator>
 #include <memory>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "attacks/side_channel.hpp"
@@ -84,10 +87,43 @@ void expect_same_result(const SideChannelResult& a, const SideChannelResult& b,
   }
 }
 
+/// FNV-1a over 64-bit words of every field of a result, in order.
+std::uint64_t result_digest(const SideChannelResult& r) {
+  std::uint64_t h = 14695981039346656037ull;
+  const auto add = [&h](std::uint64_t v) { h = (h ^ v) * 1099511628211ull; };
+  const auto add_double = [&add](double v) {
+    add(std::bit_cast<std::uint64_t>(v));
+  };
+  add(r.probes.observations);
+  add(r.probes.correct);
+  add(r.probes.elapsed_cycles);
+  add(r.victim_seed_events);
+  add(r.captured_events);
+  add(r.precision.banks);
+  add(r.precision.entries_per_bank);
+  add_double(r.precision.bits_per_observation);
+  add_double(r.victim_accuracy);
+  add_double(r.threshold);
+  add_double(r.victim_slowdown);
+  add(r.positives.size());
+  for (const BankObservation& p : r.positives) {
+    add(p.bank);
+    add(p.time);
+  }
+  add(r.episode_truths.size());
+  for (const EpisodeTruth& e : r.episode_truths) {
+    add(e.true_position);
+    add(e.begin);
+    add(e.end);
+  }
+  return h;
+}
+
 TEST(SideChannelTest, DeterministicAcrossRuns) {
-  // Two independent builds: `b` is made after `a` and its reference are
-  // gone, so it synthesizes and indexes the reference again.
-  const std::size_t before = reference_builds();
+  // Two independent builds: `b` is made after `a` and its reference and
+  // plan are gone, so it synthesizes, indexes and maps again.
+  const std::size_t references_before = reference_builds();
+  const std::size_t plans_before = victim_plan_builds();
   SideChannelResult ra;
   {
     ReadMappingSpy a(small_config(1024));
@@ -95,8 +131,36 @@ TEST(SideChannelTest, DeterministicAcrossRuns) {
   }
   ReadMappingSpy b(small_config(1024));
   const auto rb = b.run();
-  EXPECT_EQ(reference_builds(), before + 2);
+  EXPECT_EQ(reference_builds(), references_before + 2);
+  EXPECT_EQ(victim_plan_builds(), plans_before + 2);
   expect_same_result(ra, rb, "rebuilt");
+}
+
+// Bit-for-bit pins of a spy's runs; the constants were computed before the
+// victim's mapping became shared between spies. A second run() on one spy
+// failed then as it does now: the attacker maps its probe rows again.
+TEST(SideChannelTest, RunsMatchTheUnsharedMapping) {
+  struct Pin {
+    std::uint32_t banks;
+    std::uint32_t dummies;
+    std::uint64_t digest;
+  };
+  for (const Pin& pin : {Pin{1024, 0, 0xdbab398b513427dfull},
+                         Pin{8192, 0, 0x02e873d5925fcd10ull},
+                         Pin{1024, 2, 0x581bb5c108d2bac8ull}}) {
+    SCOPED_TRACE(std::to_string(pin.banks) + " banks, " +
+                 std::to_string(pin.dummies) + " dummies");
+    SideChannelConfig config = small_config(pin.banks);
+    config.dummy_probes_per_touch = pin.dummies;
+    ReadMappingSpy spy(config);
+    EXPECT_EQ(result_digest(spy.run()), pin.digest);
+    try {
+      (void)spy.run();
+      ADD_FAILURE() << "a second run() must fail";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_STREQ(e.what(), "VirtualMemory: frame not free");
+    }
+  }
 }
 
 TEST(SideChannelTest, CamouflageDegradesAttackerAtProportionalCost) {
@@ -119,6 +183,17 @@ TEST(SideChannelTest, RejectsTinyDevices) {
   SideChannelConfig config;
   config.banks = 8;
   EXPECT_THROW(ReadMappingSpy{config}, std::invalid_argument);
+}
+
+TEST(SideChannelTest, RejectsAnEmptyVictim) {
+  SideChannelConfig config = small_config(1024);
+  config.reads = 0;
+  EXPECT_THROW(ReadMappingSpy{config}, std::invalid_argument);
+  // Reads shorter than one minimizer window probe nothing.
+  config.reads = 8;
+  config.readsim.read_length = 10;
+  ReadMappingSpy spy(config);
+  EXPECT_THROW((void)spy.run(), std::invalid_argument);
 }
 
 // --- One reference per live key -----------------------------------------
@@ -230,6 +305,165 @@ TEST(SharedReference, SpiesBuiltOnAPoolShareOneBuild) {
   for (const auto& spy : spies) {
     EXPECT_EQ(spy->reference(), spies.front()->reference());
     EXPECT_EQ(spy->reference_bases(), 1u << 17);
+  }
+}
+
+// --- One victim plan per live key ---------------------------------------
+//
+// shared_victim_plan's key is the reference key plus reads, every readsim
+// and mapper field and the row size (side_channel.cpp's static_asserts on
+// the config sizes make a new field get classified here). Every other
+// field only shapes the device, the attacker or the replay.
+
+const ConfigChange kVictimPlanKeyFields[] = {
+    {"reads", [](SideChannelConfig& c) { ++c.reads; }},
+    {"readsim.read_length",
+     [](SideChannelConfig& c) { c.readsim.read_length += 10; }},
+    {"readsim.substitution_rate",
+     [](SideChannelConfig& c) { c.readsim.substitution_rate *= 2; }},
+    {"mapper.chain.max_gap",
+     [](SideChannelConfig& c) { c.mapper.chain.max_gap /= 2; }},
+    {"mapper.chain.max_skip",
+     [](SideChannelConfig& c) { --c.mapper.chain.max_skip; }},
+    {"mapper.chain.gap_penalty",
+     [](SideChannelConfig& c) { c.mapper.chain.gap_penalty *= 2; }},
+    {"mapper.align.band", [](SideChannelConfig& c) { ++c.mapper.align.band; }},
+    {"mapper.candidate_flank",
+     [](SideChannelConfig& c) { ++c.mapper.candidate_flank; }},
+    {"mapper.min_chain_anchors",
+     [](SideChannelConfig& c) { ++c.mapper.min_chain_anchors; }},
+    {"table.row_bytes", [](SideChannelConfig& c) { c.table.row_bytes *= 2; }},
+};
+
+const ConfigChange kReplayFields[] = {
+    {"banks", [](SideChannelConfig& c) { c.banks *= 2; }},
+    {"dummy_probes_per_touch",
+     [](SideChannelConfig& c) { c.dummy_probes_per_touch = 4; }},
+    {"victim_alignment_compute",
+     [](SideChannelConfig& c) { c.victim_alignment_compute = 1000; }},
+    {"jitter_stddev", [](SideChannelConfig& c) { c.jitter_stddev *= 2; }},
+    {"attacker_row", [](SideChannelConfig& c) { ++c.attacker_row; }},
+};
+
+TEST(VictimPlanKey, EveryKeyFieldGivesItsOwnPlan) {
+  const SideChannelConfig config = key_config();
+  std::vector<std::shared_ptr<const VictimPlan>> held = {
+      shared_victim_plan(config)};
+  const auto check = [&](const ConfigChange& change) {
+    SideChannelConfig changed = config;
+    change.apply(changed);
+    const auto plan = shared_victim_plan(changed);
+    for (const auto& other : held) {
+      EXPECT_NE(plan, other) << change.field << " must be in the key";
+    }
+    held.push_back(plan);
+  };
+  for (const ConfigChange& change : kReferenceKeyFields) check(change);
+  for (const ConfigChange& change : kVictimPlanKeyFields) check(change);
+}
+
+TEST(VictimPlanKey, ReplayFieldsShareThePlan) {
+  const SideChannelConfig config = key_config();
+  const auto base = shared_victim_plan(config);
+  for (const ConfigChange& change : kReplayFields) {
+    SideChannelConfig changed = config;
+    change.apply(changed);
+    EXPECT_EQ(shared_victim_plan(changed), base)
+        << change.field << " must not be in the key";
+  }
+}
+
+TEST(VictimPlan, SpyTraceMatchesAMapperOnItsOwnDevice) {
+  for (const std::uint32_t banks : {1024u, 2048u, 4096u, 8192u}) {
+    SCOPED_TRACE(std::to_string(banks) + " banks");
+    const SideChannelConfig config = small_config(banks);
+    ReadMappingSpy spy(config);
+    (void)spy.run();
+    const genomics::Genome& genome = spy.reference()->genome;
+    std::vector<genomics::MemoryTouch> own;
+    genomics::ReadMapper mapper(
+        genome, spy.table(), spy.layout(), config.mapper,
+        [&own](const genomics::MemoryTouch& t) { own.push_back(t); });
+    for (const auto& read : victim_reads(config, genome)) {
+      (void)mapper.map(read);
+    }
+    const auto& trace = spy.victim_trace();
+    ASSERT_EQ(trace.size(), own.size());
+    for (std::size_t i = 0; i < trace.size(); ++i) {
+      EXPECT_EQ(trace[i].kind, own[i].kind) << i;
+      EXPECT_EQ(trace[i].location, own[i].location) << i;
+      EXPECT_EQ(trace[i].bucket, own[i].bucket) << i;
+      EXPECT_EQ(trace[i].ref_position, own[i].ref_position) << i;
+    }
+  }
+}
+
+TEST(VictimPlan, LiveSpiesShareOneBuildAndTheLastReleaseFreesIt) {
+  const std::size_t before = victim_plan_builds();
+  std::weak_ptr<const VictimPlan> released;
+  {
+    std::vector<std::unique_ptr<ReadMappingSpy>> spies;
+    for (const std::uint32_t banks : {1024u, 2048u, 4096u, 8192u}) {
+      spies.push_back(std::make_unique<ReadMappingSpy>(small_config(banks)));
+      EXPECT_EQ(spies.back()->plan(), nullptr);  // Mapped in run().
+      (void)spies.back()->run();
+      EXPECT_EQ(spies.back()->plan(), spies.front()->plan());
+    }
+    EXPECT_EQ(victim_plan_builds(), before + 1);
+    EXPECT_EQ(spies.front()->plan()->reference, spies.front()->reference());
+    released = spies.front()->plan();
+  }
+  EXPECT_TRUE(released.expired());
+  ReadMappingSpy again(small_config(1024));
+  (void)again.run();
+  EXPECT_EQ(victim_plan_builds(), before + 2);
+}
+
+TEST(VictimPlan, SpyBesideALiveOneMatchesALoneRun) {
+  SideChannelConfig camouflaged = small_config(1024);
+  camouflaged.dummy_probes_per_touch = 2;
+  SideChannelConfig unpipelined = small_config(2048);
+  unpipelined.victim_alignment_compute = 2048 * 600ull;
+  const std::pair<const char*, SideChannelConfig> cases[] = {
+      {"1024 banks", small_config(1024)},
+      {"8192 banks", small_config(8192)},
+      {"camouflaged", camouflaged},
+      {"unpipelined", unpipelined},
+  };
+  for (const auto& [label, config] : cases) {
+    SideChannelResult lone;
+    {
+      ReadMappingSpy spy(config);
+      lone = spy.run();
+    }
+    ReadMappingSpy holder(small_config(4096));
+    (void)holder.run();
+    const std::size_t before = victim_plan_builds();
+    ReadMappingSpy spy(config);
+    const auto shared = spy.run();
+    EXPECT_EQ(victim_plan_builds(), before) << label;  // The holder's plan.
+    EXPECT_EQ(spy.plan(), holder.plan()) << label;
+    expect_same_result(shared, lone, label);
+  }
+}
+
+TEST(VictimPlan, SpiesRunOnAPoolShareOneMapping) {
+  // Fig. 10's cells on a pool: four same-seed spies acquire the plan
+  // concurrently from run().
+  constexpr std::uint32_t kBanks[] = {1024, 2048, 4096, 8192};
+  std::vector<std::unique_ptr<ReadMappingSpy>> spies;
+  for (const std::uint32_t banks : kBanks) {
+    spies.push_back(std::make_unique<ReadMappingSpy>(small_config(banks)));
+  }
+  std::vector<SideChannelResult> results(spies.size());
+  const std::size_t before = victim_plan_builds();
+  exec::ThreadPool pool(4);
+  pool.for_each_index(spies.size(),
+                      [&](std::size_t i) { results[i] = spies[i]->run(); });
+  EXPECT_EQ(victim_plan_builds(), before + 1);
+  for (std::size_t i = 0; i < spies.size(); ++i) {
+    EXPECT_EQ(spies[i]->plan(), spies.front()->plan());
+    EXPECT_GT(results[i].victim_seed_events, 0u);
   }
 }
 

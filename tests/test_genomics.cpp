@@ -532,6 +532,37 @@ TEST(MapperTest, TouchSinkSeesSeedProbesInTableRow) {
   EXPECT_TRUE(saw_ref);
 }
 
+TEST(MapperTest, DeviceIndependentMapperEmitsTheTouchesUnlocated) {
+  util::Xoshiro256 rng(41);
+  const auto g = Genome::synthesize(1 << 16, rng);
+  SeedTableConfig table_config;
+  SeedTable table(table_config, 2048);
+  table.build(g);
+  const ReferenceLayout layout{2048, 32, 8192, 8192 * 4};
+  std::vector<MemoryTouch> located;
+  std::vector<MemoryTouch> bare;
+  ReadMapper on_device(g, table, layout, MapperConfig{},
+                       [&](const MemoryTouch& t) { located.push_back(t); });
+  ReadMapper anywhere(g, table.index(), layout.bases_per_row, MapperConfig{},
+                      [&](const MemoryTouch& t) { bare.push_back(t); });
+  for (const auto& r : sample_reads(g, 4, ReadSimConfig{}, rng)) {
+    const auto a = on_device.map(r);
+    const auto b = anywhere.map(r);
+    EXPECT_EQ(a.mapped, b.mapped);
+    EXPECT_EQ(a.position, b.position);
+    EXPECT_EQ(a.edit_distance, b.edit_distance);
+  }
+  ASSERT_EQ(bare.size(), located.size());
+  ASSERT_FALSE(bare.empty());
+  for (std::size_t i = 0; i < bare.size(); ++i) {
+    EXPECT_EQ(bare[i].kind, located[i].kind) << i;
+    EXPECT_EQ(bare[i].bucket, located[i].bucket) << i;
+    EXPECT_EQ(bare[i].ref_position, located[i].ref_position) << i;
+    EXPECT_EQ(bare[i].location, TableLocation{}) << i;
+    EXPECT_EQ(locate(bare[i], table, layout), located[i].location) << i;
+  }
+}
+
 TEST(LeakPrecisionTest, BitsGrowWithBankCount) {
   SeedTableConfig config;
   const auto p1 = LeakPrecision::of(SeedTable(config, 1024));

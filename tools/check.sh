@@ -150,8 +150,9 @@ fi
 # and error-propagation tests, FrontEndSplit's BC and TC cases under one
 # mapping, the hand-built edge cases and Multiprog), and the intern tables
 # that share the figure inputs between live users (test_util: four threads
-# acquiring one key; test_attacks_side: Fig. 10's spies built on a pool;
-# test_graph: inputs sharing one graph). Running them under
+# acquiring one key; test_attacks_side: Fig. 10's spies built on a pool,
+# and run on one, sharing the victim's mapping; test_graph: inputs sharing
+# one graph). Running them under
 # ThreadSanitizer catches ordering bugs the serial suite cannot. Separate
 # build tree: TSan excludes ASan.
 TSAN_DIR="${ROOT}/build-tsan"
@@ -161,6 +162,7 @@ TSAN_GRAPH_FILTER+=':SmallInputs/FrontEndSplit.*/TC_bank_interleaved'
 TSAN_GRAPH_FILTER+=':SharedGraph.*'
 TSAN_UTIL_FILTER='InternTable.*'
 TSAN_SIDE_FILTER='SharedReference.SpiesBuiltOnAPoolShareOneBuild'
+TSAN_SIDE_FILTER+=':VictimPlan.SpiesRunOnAPoolShareOneMapping'
 cmake -S "${ROOT}" -B "${TSAN_DIR}" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DIMPACT_SANITIZE=thread \

@@ -175,11 +175,13 @@ ReadMappingSpy::ReadMappingSpy(SideChannelConfig config)
   system_config_.dram.subarray_rows =
       std::min(system_config_.dram.subarray_rows, config_.rows_per_bank);
   system_config_.seed = config_.seed;
+  util::check(config_.table.row_bytes == system_config_.dram.row_bytes,
+              "SideChannelConfig: table.row_bytes must equal the device's "
+              "row size");
   system_ = std::make_unique<sys::MemorySystem>(system_config_);
 
   // The shared reference, striped over this device's banks.
   reference_ = shared_reference(config_);
-  config_.table.row_bytes = system_config_.dram.row_bytes;
   table_ = std::make_unique<genomics::SeedTable>(
       config_.table, config_.banks,
       std::shared_ptr<const genomics::SeedIndex>(reference_,
@@ -188,8 +190,14 @@ ReadMappingSpy::ReadMappingSpy(SideChannelConfig config)
                                       system_config_.dram.row_bytes,
                                       system_config_.dram.row_bytes * 4};
 
+  // Both actors take the CPU path in run(): the victim's host-side PEIs,
+  // the attacker's bookkeeping loads and stores. Build each hierarchy
+  // here, just before the actor's dispatcher, not when run() first needs
+  // it; the peak memory of a spy depends on this allocation order.
+  (void)system_->hierarchy(kVictim);
   victim_pei_ =
       std::make_unique<pim::PeiDispatcher>(config_.pei, *system_, kVictim);
+  (void)system_->hierarchy(kReceiver);
   attacker_pei_ =
       std::make_unique<pim::PeiDispatcher>(config_.pei, *system_, kReceiver);
 }
@@ -266,6 +274,8 @@ bool ReadMappingSpy::attacker_probe(std::uint32_t bank) {
 }
 
 SideChannelResult ReadMappingSpy::run() {
+  // A second run would map the attacker's probe rows again.
+  util::check(plan_ == nullptr, "ReadMappingSpy::run: a spy runs once");
   SideChannelResult result;
 
   // --- Locate the victim's shared mapping plan on this device. ----------

@@ -145,10 +145,11 @@ struct VictimPlan {
 
 /// The victim plan of a spy of `config`: a pure function of the
 /// shared_reference key, reads, readsim, mapper and 4 * table.row_bytes
-/// (the bases of one reference row; a spy sets table.row_bytes to its
-/// device's row size). Nothing in it depends on the bank count, so live
-/// spies that differ only in banks, the camouflage and timing fields or
-/// attacker_row share one build; the build is freed with its last holder.
+/// (the bases of one reference row; a spy requires table.row_bytes to
+/// equal its device's row size). Nothing in it depends on the bank count,
+/// so live spies that differ only in banks, the camouflage and timing
+/// fields or attacker_row share one build; the build is freed with its
+/// last holder.
 [[nodiscard]] std::shared_ptr<const VictimPlan> shared_victim_plan(
     const SideChannelConfig& config);
 
@@ -158,12 +159,16 @@ struct VictimPlan {
 
 class ReadMappingSpy {
  public:
+  /// Throws std::invalid_argument for fewer than 16 banks, no reads, or a
+  /// table.row_bytes other than the device's row size.
   explicit ReadMappingSpy(SideChannelConfig config = {});
 
   /// Runs the full co-simulation: victim maps its reads while the attacker
   /// sweeps all banks; returns throughput/error/precision accounting. The
   /// victim's mapping is the shared plan (shared_victim_plan), acquired
-  /// here and held by the spy.
+  /// here and held by the spy. A spy runs once: run() maps the attacker's
+  /// probe rows, so a second call throws std::invalid_argument (build a
+  /// new spy instead; it shares the reference and the plan).
   SideChannelResult run();
 
   [[nodiscard]] const sys::SystemConfig& system_config() const {

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <bit>
+#include <functional>
+#include <iterator>
 #include <string>
 
 #include "obs/scope.hpp"
@@ -33,6 +35,12 @@ void HierarchyConfig::validate() const {
 
 Hierarchy::Hierarchy(HierarchyConfig config,
                      dram::MemoryController& controller, dram::ActorId actor)
+    : Hierarchy(std::move(config), controller, actor,
+                obs::current_registry()) {}
+
+Hierarchy::Hierarchy(HierarchyConfig config,
+                     dram::MemoryController& controller, dram::ActorId actor,
+                     obs::Registry* registry)
     : config_(std::move(config)),
       controller_(&controller),
       actor_(actor),
@@ -45,29 +53,26 @@ Hierarchy::Hierarchy(HierarchyConfig config,
     line_shift_ = static_cast<std::uint32_t>(std::countr_zero(lb));
   }
   // Publish the per-level stats as snapshot-time providers: sampling
-  // happens only when a snapshot is taken, so the access fast path (PR 3's
-  // flattened layout) is not touched at all. Registration is construction-
-  // time-only work gated on an active obs::Scope.
-  if (obs::Registry* reg = obs::current_registry()) {
-    obs_registry_ = reg;
-    const struct {
-      const Cache* cache;
-      const char* name;
-    } levels[] = {{&l1_, "l1"}, {&l2_, "l2"}, {&l3_, "l3"}};
-    for (const auto& lvl : levels) {
-      const std::string base = std::string("cache.") + lvl.name + ".";
-      const Cache* c = lvl.cache;
-      obs_providers_.push_back(reg->add_provider(
-          base + "hits", [c] { return c->stats().hits; }));
-      obs_providers_.push_back(reg->add_provider(
-          base + "misses", [c] { return c->stats().misses; }));
-      obs_providers_.push_back(reg->add_provider(
-          base + "evictions", [c] { return c->stats().evictions; }));
-      obs_providers_.push_back(reg->add_provider(
-          base + "writebacks", [c] { return c->stats().writebacks; }));
+  // happens only when a snapshot is taken, so the access fast path is not
+  // touched at all. Registration is construction-time-only work, skipped
+  // without a registry.
+  if (registry != nullptr) {
+    obs_registry_ = registry;
+    const auto add = [&](std::string_view name,
+                         std::function<std::uint64_t()> fn) {
+      obs_providers_.push_back(
+          registry->add_provider(std::string(name), std::move(fn)));
+    };
+    const Cache* const levels[] = {&l1_, &l2_, &l3_};
+    for (std::size_t i = 0; i < std::size(levels); ++i) {
+      const Cache* c = levels[i];
+      const std::string_view* names = &kCounterNames[4 * i];
+      add(names[0], [c] { return c->stats().hits; });
+      add(names[1], [c] { return c->stats().misses; });
+      add(names[2], [c] { return c->stats().evictions; });
+      add(names[3], [c] { return c->stats().writebacks; });
     }
-    obs_providers_.push_back(reg->add_provider(
-        "cache.prefetch_fills", [this] { return prefetch_fills_; }));
+    add(kCounterNames[12], [this] { return prefetch_fills_; });
   }
 }
 

@@ -9,8 +9,10 @@
 // the way the paper's §3 analysis assumes.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
+#include <string_view>
 #include <vector>
 
 #include "cache/cache.hpp"
@@ -63,12 +65,28 @@ struct MemAccessResult {
   dram::RowBufferOutcome dram_outcome = dram::RowBufferOutcome::kEmpty;
 };
 
+/// The obs:: counters every Hierarchy publishes: hits, misses, evictions
+/// and writebacks of L1, L2 and L3, then prefetch fills.
+inline constexpr std::array<std::string_view, 13> kCounterNames = {
+    "cache.l1.hits", "cache.l1.misses", "cache.l1.evictions",
+    "cache.l1.writebacks",
+    "cache.l2.hits", "cache.l2.misses", "cache.l2.evictions",
+    "cache.l2.writebacks",
+    "cache.l3.hits", "cache.l3.misses", "cache.l3.evictions",
+    "cache.l3.writebacks",
+    "cache.prefetch_fills"};
+
 class Hierarchy {
  public:
   /// The hierarchy issues misses/writebacks/prefetch fills to `controller`
-  /// on behalf of `actor`. The controller must outlive the hierarchy.
+  /// on behalf of `actor`. The controller must outlive the hierarchy. Its
+  /// counters report into the current obs:: scope's registry.
   Hierarchy(HierarchyConfig config, dram::MemoryController& controller,
             dram::ActorId actor = dram::kAnyActor);
+  /// As above, but the counters report into `registry` (null: nowhere),
+  /// which must outlive the hierarchy.
+  Hierarchy(HierarchyConfig config, dram::MemoryController& controller,
+            dram::ActorId actor, obs::Registry* registry);
   /// Flushes any obs:: snapshot providers registered at construction (the
   /// per-level hit/miss counters stay visible in snapshots taken after the
   /// hierarchy is gone). Registered providers capture `this`, so the

@@ -123,10 +123,11 @@ std::string render_fig11(const store::CellRunner::MatrixResult& grid) {
       "adaptive %.1f%% (extension)\n"
       "The adaptive open-page policy costs about as much as CRP on these\n"
       "conflict-heavy workloads and pushes the naive covert channel to\n"
-      "near-chance error (test_defense AdaptivePolicy tests) — but unlike\n"
-      "CRP it keeps benign streaming hits, and unlike CRP its guarantee is\n"
-      "heuristic: an attacker who re-trains the predictor with hit bursts\n"
-      "can partially reopen the channel.\n",
+      "near-chance error (test_defense AdaptivePolicy tests). It keeps few of\n"
+      "the open row's benign hits: its row-hit rate is under a tenth of\n"
+      "open-row's (test_headline_numbers Headline.AdaptiveTracksCrpOnCc).\n"
+      "Unlike CRP, its guarantee is heuristic: an attacker who re-trains the\n"
+      "predictor with hit bursts can partially reopen the channel.\n",
       100.0 * crp_sum / n, 100.0 * ctd_sum / n, 100.0 * adp_sum / n);
   out += buf;
   if (!totals.empty()) {

@@ -14,7 +14,6 @@ PeiDispatcher::PeiDispatcher(PeiConfig config, sys::MemorySystem& system,
       // timing-invisible: contexts carry no clock state and are
       // independent of each other.
       tlb_(&system.tlb(actor)),
-      hier_(&system.hierarchy(actor)),
       mc_(&system.controller()),
       view_(system.vmem().view(actor)) {
   if (obs::Registry* reg = obs::current_registry()) {
@@ -44,6 +43,7 @@ PeiResult PeiDispatcher::execute_one(sys::VAddr vaddr, util::Cycle& clock) {
   if (r.placement == PeiPlacement::kHost) {
     // Host-side PCU: a normal cached load plus the compute. No DRAM row is
     // touched when the line hits in the cache hierarchy.
+    if (hier_ == nullptr) resolve_hierarchy();
     const auto mem = hier_->access(paddr, clock + latency);
     latency += mem.latency + config_.pcu_compute_latency;
     r.outcome = mem.dram_outcome;
@@ -111,6 +111,10 @@ void PeiDispatcher::execute_batch(const sys::VAddr* vaddrs, std::size_t n,
   }
 }
 // SIMLINT-HOT-END
+
+void PeiDispatcher::resolve_hierarchy() {
+  hier_ = &system_->hierarchy(actor_);
+}
 
 std::uint32_t PeiDispatcher::next_bypass_column(std::uint32_t row_bytes,
                                                 std::uint32_t line_bytes) {

@@ -42,10 +42,12 @@ struct PeiResult {
 /// Per-process PEI front end: owns the PMU, issues memory-side PEIs to the
 /// controller and host-side PEIs through the process's cache hierarchy.
 ///
-/// The constructor resolves every per-actor structure once — TLB, cache
-/// hierarchy, controller, and a VirtualMemory::TranslationView — so the
-/// per-PEI path touches no actor hash maps (the covert channels execute
-/// millions of PEIs through one dispatcher).
+/// The constructor resolves the per-actor structures every PEI needs once —
+/// TLB, controller, and a VirtualMemory::TranslationView — so the per-PEI
+/// path touches no actor hash maps (the covert channels execute millions of
+/// PEIs through one dispatcher). The cache hierarchy is resolved on the
+/// first host-side PEI: an actor whose PEIs all go memory-side never has
+/// one built.
 class PeiDispatcher {
  public:
   PeiDispatcher(PeiConfig config, sys::MemorySystem& system,
@@ -80,16 +82,18 @@ class PeiDispatcher {
   /// The per-PEI work shared by execute and execute_batch: translate,
   /// place, access, advance `clock`. No obs traffic.
   PeiResult execute_one(sys::VAddr vaddr, util::Cycle& clock);
+  /// Resolves hier_ (building the actor's hierarchy if need be), once.
+  [[gnu::cold]] void resolve_hierarchy();
 
   PeiConfig config_;
   sys::MemorySystem* system_;
   dram::ActorId actor_;
   LocalityMonitor pmu_;
   std::uint32_t bypass_cursor_ = 0;
-  // Hot-path handles resolved once at construction (stable: contexts are
-  // never erased and the controller is owned by the system).
+  // Hot-path handles resolved once (stable: contexts and their hierarchies
+  // are never erased and the controller is owned by the system).
   sys::Tlb* tlb_;
-  cache::Hierarchy* hier_;
+  cache::Hierarchy* hier_ = nullptr;  ///< Null until the first host-side PEI.
   dram::MemoryController* mc_;
   sys::VirtualMemory::TranslationView view_;
   // obs:: handles resolved once at construction; null (one predictable

@@ -1,8 +1,11 @@
 #include "sys/system.hpp"
 
+#include <algorithm>
 #include <cstdio>
+#include <string_view>
 
 #include "check/protocol_checker.hpp"
+#include "obs/scope.hpp"
 
 namespace impact::sys {
 
@@ -32,29 +35,36 @@ std::string SystemConfig::describe() const {
   return buf;
 }
 
-MemorySystem::CpuContext::CpuContext(const SystemConfig& cfg,
-                                     dram::MemoryController& controller,
-                                     dram::ActorId actor)
-    : tlb(cfg.tlb),
-      hierarchy(
-          [&] {
-            auto h = cache::HierarchyConfig::table2(cfg.llc_bytes,
-                                                    cfg.llc_ways);
-            if (cfg.cache_scale > 1) {
-              const auto scale = [&](cache::CacheConfig& c) {
-                const std::uint64_t min_bytes =
-                    static_cast<std::uint64_t>(c.ways) * c.line_bytes;
-                c.size_bytes = std::max(c.size_bytes / cfg.cache_scale,
-                                        min_bytes);
-              };
-              scale(h.l1);
-              scale(h.l2);
-              scale(h.l3);
-            }
-            h.enable_prefetchers = cfg.prefetchers;
-            return h;
-          }(),
-          controller, actor) {}
+namespace {
+
+/// The Table 2 hierarchy of `cfg`, every capacity divided by cache_scale.
+cache::HierarchyConfig hierarchy_config(const SystemConfig& cfg) {
+  auto h = cache::HierarchyConfig::table2(cfg.llc_bytes, cfg.llc_ways);
+  if (cfg.cache_scale > 1) {
+    const auto scale = [&](cache::CacheConfig& c) {
+      const std::uint64_t min_bytes =
+          static_cast<std::uint64_t>(c.ways) * c.line_bytes;
+      c.size_bytes = std::max(c.size_bytes / cfg.cache_scale, min_bytes);
+    };
+    scale(h.l1);
+    scale(h.l2);
+    scale(h.l3);
+  }
+  h.enable_prefetchers = cfg.prefetchers;
+  return h;
+}
+
+}  // namespace
+
+MemorySystem::CpuContext::CpuContext(const TlbConfig& tlb_config)
+    : tlb(tlb_config), registry(obs::current_registry()) {
+  // A snapshot lists the hierarchy's counters whether or not it is built.
+  if (registry != nullptr) {
+    for (const std::string_view name : cache::kCounterNames) {
+      (void)registry->counter(name);
+    }
+  }
+}
 
 MemorySystem::MemorySystem(SystemConfig config)
     : config_(config),
@@ -64,14 +74,18 @@ MemorySystem::MemorySystem(SystemConfig config)
 
 MemorySystem::CpuContext& MemorySystem::context(dram::ActorId actor) {
   auto [it, inserted] = contexts_.try_emplace(actor);
-  if (inserted) {
-    it->second = std::make_unique<CpuContext>(config_, controller_, actor);
-  }
+  if (inserted) it->second = std::make_unique<CpuContext>(config_.tlb);
   return *it->second;
 }
 
 cache::Hierarchy& MemorySystem::hierarchy(dram::ActorId actor) {
-  return context(actor).hierarchy;
+  CpuContext& ctx = context(actor);
+  if (ctx.hierarchy == nullptr) {
+    ctx.hierarchy = std::make_unique<cache::Hierarchy>(
+        hierarchy_config(config_), controller_, actor, ctx.registry);
+    ++hierarchy_builds_;
+  }
+  return *ctx.hierarchy;
 }
 
 void MemorySystem::reconcile_protocol() {
@@ -90,11 +104,11 @@ TlbResult MemorySystem::translate(dram::ActorId actor, VAddr vaddr) {
 
 PathResult MemorySystem::load(dram::ActorId actor, VAddr vaddr,
                               util::Cycle& clock, std::uint64_t pc) {
-  auto& ctx = context(actor);
+  cache::Hierarchy& hier = hierarchy(actor);
   const auto tr = translate(actor, vaddr);
   const dram::PhysAddr paddr = vmem_.translate(actor, vaddr);
-  const auto mem = ctx.hierarchy.access(paddr, clock + tr.latency,
-                                        /*is_write=*/false, pc);
+  const auto mem = hier.access(paddr, clock + tr.latency,
+                               /*is_write=*/false, pc);
   PathResult r;
   r.latency = tr.latency + mem.latency;
   r.level = mem.level;
@@ -105,11 +119,11 @@ PathResult MemorySystem::load(dram::ActorId actor, VAddr vaddr,
 
 PathResult MemorySystem::store(dram::ActorId actor, VAddr vaddr,
                                util::Cycle& clock, std::uint64_t pc) {
-  auto& ctx = context(actor);
+  cache::Hierarchy& hier = hierarchy(actor);
   const auto tr = translate(actor, vaddr);
   const dram::PhysAddr paddr = vmem_.translate(actor, vaddr);
-  const auto mem = ctx.hierarchy.access(paddr, clock + tr.latency,
-                                        /*is_write=*/true, pc);
+  const auto mem = hier.access(paddr, clock + tr.latency,
+                               /*is_write=*/true, pc);
   PathResult r;
   r.latency = tr.latency + mem.latency;
   r.level = mem.level;
@@ -120,24 +134,23 @@ PathResult MemorySystem::store(dram::ActorId actor, VAddr vaddr,
 
 util::Cycle MemorySystem::clflush(dram::ActorId actor, VAddr vaddr,
                                   util::Cycle& clock) {
-  auto& ctx = context(actor);
+  cache::Hierarchy& hier = hierarchy(actor);
   const auto tr = translate(actor, vaddr);
   const dram::PhysAddr paddr = vmem_.translate(actor, vaddr);
   const util::Cycle latency =
-      tr.latency + ctx.hierarchy.clflush(paddr, clock + tr.latency);
+      tr.latency + hier.clflush(paddr, clock + tr.latency);
   clock += latency;
   return latency;
 }
 
 util::Cycle MemorySystem::evict(dram::ActorId actor, VAddr vaddr,
                                 util::Cycle& clock) {
-  auto& ctx = context(actor);
+  cache::Hierarchy& hier = hierarchy(actor);
   const auto tr = translate(actor, vaddr);
   const dram::PhysAddr paddr = vmem_.translate(actor, vaddr);
   const dram::BankId target_bank = controller_.mapping().decode(paddr).bank;
   const util::Cycle latency =
-      tr.latency + ctx.hierarchy.evict_via_set(paddr, clock + tr.latency,
-                                               target_bank);
+      tr.latency + hier.evict_via_set(paddr, clock + tr.latency, target_bank);
   clock += latency;
   return latency;
 }

@@ -80,9 +80,21 @@ class MemorySystem {
   [[nodiscard]] VirtualMemory& vmem() { return vmem_; }
   [[nodiscard]] const Timestamp& timestamp() const { return timestamp_; }
 
-  /// Per-process CPU-side structures (created on first use).
+  /// Per-process CPU-side structures. An actor's context, with its TLB, is
+  /// created on the actor's first use of any path; its cache hierarchy only
+  /// on the first request for it (here, or from load, store, clflush, evict
+  /// or port), since the PiM and direct paths never read one. Until then
+  /// the hierarchy's `cache.*` counters read 0 in the obs:: registry that
+  /// was current when the context was created, and a hierarchy built later
+  /// reports into that same registry.
   cache::Hierarchy& hierarchy(dram::ActorId actor);
   Tlb& tlb(dram::ActorId actor);
+
+  /// Cache hierarchies this system has built so far (a test hook: a
+  /// hierarchy no path needed shows as one not built).
+  [[nodiscard]] std::size_t hierarchy_builds() const {
+    return hierarchy_builds_;
+  }
 
   /// Attaches a fault injector to this system and its controller (nullptr
   /// detaches; non-owning — the injector must outlive the system or be
@@ -150,10 +162,11 @@ class MemorySystem {
     VirtualMemory::TranslationView view_;
   };
 
-  /// Builds an AccessPort for `actor` (creating its context on first use).
+  /// Builds an AccessPort for `actor` (creating its context and hierarchy
+  /// on first use).
   [[nodiscard]] AccessPort port(dram::ActorId actor) {
-    auto& ctx = context(actor);
-    return AccessPort(ctx.tlb, ctx.hierarchy, vmem_.view(actor));
+    cache::Hierarchy& hier = hierarchy(actor);
+    return AccessPort(context(actor).tlb, hier, vmem_.view(actor));
   }
   /// clflush of the line holding `vaddr` (translate + LLC probe + WB).
   util::Cycle clflush(dram::ActorId actor, VAddr vaddr, util::Cycle& clock);
@@ -181,11 +194,11 @@ class MemorySystem {
 
  private:
   struct CpuContext {
-    explicit CpuContext(const SystemConfig& cfg,
-                        dram::MemoryController& controller,
-                        dram::ActorId actor);
+    explicit CpuContext(const TlbConfig& tlb_config);
     Tlb tlb;
-    cache::Hierarchy hierarchy;
+    /// The registry current at creation, for a hierarchy built later.
+    obs::Registry* registry;
+    std::unique_ptr<cache::Hierarchy> hierarchy;  ///< Null until requested.
   };
 
   CpuContext& context(dram::ActorId actor);
@@ -195,6 +208,7 @@ class MemorySystem {
   VirtualMemory vmem_;
   Timestamp timestamp_;
   std::unordered_map<dram::ActorId, std::unique_ptr<CpuContext>> contexts_;
+  std::size_t hierarchy_builds_ = 0;
   fault::Injector* faults_ = nullptr;
 };
 

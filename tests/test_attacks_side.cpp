@@ -137,8 +137,8 @@ TEST(SideChannelTest, DeterministicAcrossRuns) {
 }
 
 // Bit-for-bit pins of a spy's runs; the constants were computed before the
-// victim's mapping became shared between spies. A second run() on one spy
-// failed then as it does now: the attacker maps its probe rows again.
+// victim's mapping became shared between spies. A spy runs once: a second
+// run() is refused before it maps the attacker's probe rows again.
 TEST(SideChannelTest, RunsMatchTheUnsharedMapping) {
   struct Pin {
     std::uint32_t banks;
@@ -158,7 +158,7 @@ TEST(SideChannelTest, RunsMatchTheUnsharedMapping) {
       (void)spy.run();
       ADD_FAILURE() << "a second run() must fail";
     } catch (const std::invalid_argument& e) {
-      EXPECT_STREQ(e.what(), "VirtualMemory: frame not free");
+      EXPECT_STREQ(e.what(), "ReadMappingSpy::run: a spy runs once");
     }
   }
 }
@@ -183,6 +183,19 @@ TEST(SideChannelTest, RejectsTinyDevices) {
   SideChannelConfig config;
   config.banks = 8;
   EXPECT_THROW(ReadMappingSpy{config}, std::invalid_argument);
+}
+
+TEST(SideChannelTest, RejectsATableRowSizeOtherThanTheDevices) {
+  SideChannelConfig config = small_config(1024);
+  config.table.row_bytes *= 2;
+  try {
+    ReadMappingSpy spy(config);
+    ADD_FAILURE() << "a table row size other than the device's must fail";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(),
+                 "SideChannelConfig: table.row_bytes must equal the "
+                 "device's row size");
+  }
 }
 
 TEST(SideChannelTest, RejectsAnEmptyVictim) {

@@ -104,6 +104,29 @@ TEST(Headline, DefenseOverheadBandsViaCellRunner) {
   }
 }
 
+TEST(Headline, AdaptiveTracksCrpOnCc) {
+  // fig11's claim for the adaptive policy, on one full-scale kernel: it
+  // keeps few of the open row's hits, and it costs about what CRP costs
+  // (recorded for CC: row-hit rate 0.84 open-row, CRP 22.0%, adaptive
+  // 21.7%).
+  const graph::MultiprogConfig config;
+  const graph::WorkloadInput input =
+      graph::build_input(config, graph::WorkloadKind::kCC);
+  const auto run = [&](dram::RowPolicy policy) {
+    return graph::run_multiprogrammed(config, input, policy);
+  };
+  const graph::RunStats open_row = run(dram::RowPolicy::kOpenRow);
+  const graph::RunStats crp = run(dram::RowPolicy::kClosedRow);
+  const graph::RunStats adaptive = run(dram::RowPolicy::kAdaptive);
+  EXPECT_LT(adaptive.row_hit_rate, 0.1 * open_row.row_hit_rate);
+  const auto overhead = [&](const graph::RunStats& r) {
+    return static_cast<double>(r.cycles) /
+               static_cast<double>(open_row.cycles) -
+           1.0;
+  };
+  EXPECT_NEAR(overhead(adaptive), overhead(crp), 0.01);
+}
+
 TEST(Headline, ImpactIsLlcSizeInvariant) {
   const double at2 = attack_mbps(attacks::AttackKind::kImpactPum, 2);
   const double at64 = attack_mbps(attacks::AttackKind::kImpactPum, 64);

@@ -243,10 +243,11 @@ TEST(LabRender, Fig11GoldenBytes) {
 average: CRP 10.0% (paper 15%), CTD 20.0% (paper 26%), adaptive 30.0% (extension)
 The adaptive open-page policy costs about as much as CRP on these
 conflict-heavy workloads and pushes the naive covert channel to
-near-chance error (test_defense AdaptivePolicy tests) — but unlike
-CRP it keeps benign streaming hits, and unlike CRP its guarantee is
-heuristic: an attacker who re-trains the predictor with hit bursts
-can partially reopen the channel.
+near-chance error (test_defense AdaptivePolicy tests). It keeps few of
+the open row's benign hits: its row-hit rate is under a tenth of
+open-row's (test_headline_numbers Headline.AdaptiveTracksCrpOnCc).
+Unlike CRP, its guarantee is heuristic: an attacker who re-trains the
+predictor with hit bursts can partially reopen the channel.
 )";
   EXPECT_EQ(impact::lab::render_fig11(grid), golden);
 }

@@ -117,12 +117,16 @@ struct PeiRun {
   std::vector<PeiResult> results;
   util::Cycle clock = 0;
   obs::Snapshot snapshot;
+  std::size_t hierarchy_builds = 0;
 };
 
+/// `eager_hierarchy` requests the actor's hierarchy before the dispatcher
+/// exists; otherwise the first host-side PEI builds it.
 PeiRun run_pei_stream(bool batched, util::Cycle pre_cost,
-                      util::Cycle post_cost) {
+                      util::Cycle post_cost, bool eager_hierarchy = false) {
   obs::Scope scope;
   sys::MemorySystem system{sys::SystemConfig{}};
+  if (eager_hierarchy) (void)system.hierarchy(1);
   const sys::VSpan row_a = system.vmem().map_row(1, 4, 30);
   const sys::VSpan row_b = system.vmem().map_row(1, 4, 31);
   system.warm_span(1, row_a);
@@ -156,6 +160,7 @@ PeiRun run_pei_stream(bool batched, util::Cycle pre_cost,
     }
   }
   out.snapshot = scope.snapshot();
+  out.hierarchy_builds = system.hierarchy_builds();
   return out;
 }
 
@@ -199,6 +204,41 @@ TEST_F(PeiTest, ExecuteBatchMatchesScalarLoop) {
   }
   EXPECT_EQ(scalar.snapshot.counter("pim.pei.ops"), scalar.results.size());
   EXPECT_EQ(scalar.snapshot.counter("pim.pei.host_side"), host);
+}
+
+TEST(PeiLazyHierarchy, FirstHostSidePeiBuildsItOnce) {
+  {
+    // Memory-side PEIs never build one.
+    sys::MemorySystem system{sys::SystemConfig{}};
+    const sys::VSpan row = system.vmem().map_row(1, 4, 30);
+    system.warm_span(1, row);
+    PeiDispatcher pei(PeiConfig{}, system, 1);
+    util::Cycle clock = 0;
+    for (std::uint32_t k = 0; k < 16; ++k) {
+      ASSERT_EQ(pei.execute(row.vaddr + 64 * k, clock).placement,
+                PeiPlacement::kMemory);
+    }
+    EXPECT_EQ(system.hierarchy_builds(), 0u);
+  }
+  // The stream forces host-side PEIs; its results do not depend on when
+  // the hierarchy was built.
+  const PeiRun lazy = run_pei_stream(false, 7, 11);
+  const PeiRun eager = run_pei_stream(false, 7, 11, /*eager_hierarchy=*/true);
+  EXPECT_EQ(lazy.hierarchy_builds, 1u);
+  EXPECT_EQ(eager.hierarchy_builds, 1u);
+  ASSERT_EQ(lazy.results.size(), eager.results.size());
+  std::size_t host = 0;
+  for (std::size_t i = 0; i < lazy.results.size(); ++i) {
+    host += lazy.results[i].placement == PeiPlacement::kHost ? 1 : 0;
+    EXPECT_EQ(lazy.results[i].latency, eager.results[i].latency) << i;
+    EXPECT_EQ(lazy.results[i].placement, eager.results[i].placement) << i;
+    EXPECT_EQ(lazy.results[i].outcome, eager.results[i].outcome) << i;
+    EXPECT_EQ(lazy.results[i].bank, eager.results[i].bank) << i;
+  }
+  EXPECT_GT(host, 1u);
+  EXPECT_EQ(lazy.clock, eager.clock);
+  EXPECT_EQ(lazy.snapshot.counters, eager.snapshot.counters);
+  EXPECT_GT(lazy.snapshot.counter("cache.l1.hits"), 0u);
 }
 
 class RowCloneUnitTest : public ::testing::Test {

@@ -1,6 +1,12 @@
 // Unit tests: TLB, timers, synchronization primitives, MemorySystem paths.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+
+#include "attacks/registry.hpp"
+#include "cache/hierarchy.hpp"
+#include "obs/scope.hpp"
 #include "sys/sync.hpp"
 #include "sys/system.hpp"
 #include "sys/timer.hpp"
@@ -198,6 +204,81 @@ TEST_F(SystemPathTest, WalkTrafficTouchesDram) {
   EXPECT_EQ(mc.total_stats().accesses(), 1u);
   system_.charge_walk_traffic(1, 0x123456789, false, 0);
   EXPECT_EQ(mc.total_stats().accesses(), 1u);
+}
+
+// --- A hierarchy is built on its actor's first CPU-side access ----------
+
+TEST(LazyHierarchy, CovertChannelSetupBuildsNone) {
+  // IMPACT's PiM paths bypass the caches, so neither channel's setup or
+  // calibration needs a hierarchy.
+  for (const attacks::AttackKind kind :
+       {attacks::AttackKind::kImpactPnm, attacks::AttackKind::kImpactPum}) {
+    SCOPED_TRACE(attacks::to_string(kind));
+    SystemConfig config;
+    config.mapping = attacks::recommended_mapping(kind);
+    MemorySystem system(config);
+    auto attack = attacks::make_attack(kind, system);
+    (void)attack->recalibrate();
+    EXPECT_EQ(system.hierarchy_builds(), 0u);
+  }
+}
+
+TEST(LazyHierarchy, TranslateOnlyActorListsZeroCacheCounters) {
+  obs::Scope scope;
+  MemorySystem system{SystemConfig{}};
+  const VSpan span = system.vmem().map_row(1, 3, 40);
+  system.warm_span(1, span);
+  (void)system.translate(1, span.vaddr);
+  EXPECT_EQ(system.hierarchy_builds(), 0u);
+  const obs::Snapshot snap = scope.snapshot();
+  for (const std::string_view name : cache::kCounterNames) {
+    const auto it = snap.counters.find(std::string(name));
+    ASSERT_NE(it, snap.counters.end()) << name;
+    EXPECT_EQ(it->second, 0u) << name;
+  }
+}
+
+/// FNV-1a over a load/store sequence on actor 1 and the counters it leaves.
+/// `eager` requests the hierarchy before anything else; otherwise the
+/// actor only translates until its first load.
+std::uint64_t cpu_path_digest(bool eager) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  const auto add = [&h](std::uint64_t v) {
+    h ^= v;
+    h *= 0x100000001b3ull;
+  };
+  std::uint64_t builds = 0;
+  {
+    obs::Scope scope;
+    MemorySystem system{SystemConfig{}};
+    if (eager) (void)system.hierarchy(1);
+    const VSpan span = system.vmem().map_pages(1, 64);
+    system.warm_span(1, span);
+    for (VAddr v = span.vaddr; v < span.end(); v += 4096) {
+      (void)system.translate(1, v);
+    }
+    util::Cycle clock = 0;
+    for (std::uint64_t i = 0; i < 4096; ++i) {
+      const VAddr v = span.vaddr + (i * 2654435761ull) % span.bytes;
+      const PathResult r = i % 3 == 0 ? system.store(1, v, clock, i % 7)
+                                      : system.load(1, v, clock, i % 7);
+      add(r.latency);
+      add(static_cast<std::uint64_t>(r.level));
+      add(static_cast<std::uint64_t>(r.outcome));
+    }
+    add(clock);
+    builds = system.hierarchy_builds();
+    for (const auto& [name, value] : scope.snapshot().counters) {
+      for (const char c : name) add(static_cast<unsigned char>(c));
+      add(value);
+    }
+  }
+  EXPECT_EQ(builds, 1u);
+  return h;
+}
+
+TEST(LazyHierarchy, LoadAfterTranslateOnlyUseMatchesEagerBuild) {
+  EXPECT_EQ(cpu_path_digest(/*eager=*/false), cpu_path_digest(/*eager=*/true));
 }
 
 TEST(SystemConfigTest, DescribeMentionsKeyParameters) {

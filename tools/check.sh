@@ -29,9 +29,9 @@
 #      (docs/robustness.md, "Durability and recoverable input"),
 #   6c. experiment registry: `impact list` must enumerate exactly the 22
 #      registered experiments and `impact describe` must resolve a spec
-#      (docs/experiments-registry.md); `impact run fig11` and `impact run
-#      ablation_sweep --smoke` must print the same stdout at --threads 1
-#      and --threads 4,
+#      (docs/experiments-registry.md); `impact run fig11`, `impact run
+#      ablation_sweep --smoke` and `impact run fig8 --smoke` must print the
+#      same stdout at --threads 1 and --threads 4,
 #   7. tools/bench.sh --smoke: fails on >20% items/sec regression against
 #      the committed BENCH_simulator.json baseline.
 #
@@ -318,7 +318,9 @@ fi
 # `impact run` is the one entry point; its catalogue must list exactly the
 # registered experiments, and describe must resolve a spec. The two grid
 # experiments with a worker pool must print the same stdout at 1 and 4
-# threads: the worker count goes to stderr only.
+# threads: the worker count goes to stderr only. So must fig8, whose cells
+# build a system per attack kind, some of which never build a cache
+# hierarchy (it is built on an actor's first CPU-side access).
 if [ "${STATUS[sanitizer-build]}" = "PASS" ]; then
   IMPACT_BIN="${BUILD_DIR}/apps/impact"
   LAB_TMP="$(mktemp -d)"
@@ -332,7 +334,7 @@ if [ "${STATUS[sanitizer-build]}" = "PASS" ]; then
   if [ $rc -eq 0 ]; then
     "${IMPACT_BIN}" describe fig11 > /dev/null || rc=1
   fi
-  for run in "fig11" "ablation_sweep --smoke"; do
+  for run in "fig11" "ablation_sweep --smoke" "fig8 --smoke"; do
     [ $rc -eq 0 ] || break
     for threads in 1 4; do
       # shellcheck disable=SC2086  # $run is the name plus its flags.
@@ -348,7 +350,7 @@ if [ "${STATUS[sanitizer-build]}" = "PASS" ]; then
     fi
   done
   [ $rc -eq 0 ] && echo "lab: list enumerates 22 experiments; describe ok;" \
-    "fig11 and ablation_sweep stdout identical at 1 and 4 threads"
+    "fig11, ablation_sweep and fig8 stdout identical at 1 and 4 threads"
   rm -rf "${LAB_TMP}"
   stage lab $rc
 else

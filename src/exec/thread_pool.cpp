@@ -6,12 +6,14 @@
 namespace impact::exec {
 
 unsigned ThreadPool::default_threads() {
+  // Digits only: strtoul would wrap "-1" and accept "+2" and " 3".
   if (const char* env = std::getenv("IMPACT_THREADS")) {
-    char* end = nullptr;
-    const unsigned long v = std::strtoul(env, &end, 10);
-    if (end != env && *end == '\0' && v >= 1) {
-      return static_cast<unsigned>(std::min(v, 256ul));
+    unsigned v = 0;
+    const char* p = env;
+    for (; *p >= '0' && *p <= '9'; ++p) {
+      v = std::min(v * 10 + static_cast<unsigned>(*p - '0'), 256u);
     }
+    if (p != env && *p == '\0' && v >= 1) return v;
   }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? hw : 1;

@@ -37,8 +37,8 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// IMPACT_THREADS if set (clamped to [1, 256]), else
-  /// hardware_concurrency, else 1.
+  /// IMPACT_THREADS if it is all digits and at least 1 (clamped to 256),
+  /// else hardware_concurrency, else 1.
   [[nodiscard]] static unsigned default_threads();
 
   [[nodiscard]] unsigned size() const {

@@ -155,21 +155,43 @@ void record_instance(cache::Hierarchy& hierarchy,
                      const WorkloadTrace& trace, InstanceRecording& out) {
   std::vector<FrontEnd::Event>& events = out.stream.events;
   std::vector<std::uint32_t>& log = out.stream.requests;
+  // The trace's site table resolved for this instance: an op reads its
+  // site's array base in place of the array. Sized for every 6-bit site
+  // id, so no op indexes past it; the Emitter declares every site an op
+  // names.
+  struct Site {
+    sys::VAddr base = 0;
+    std::uint32_t compute = 0;
+    std::uint16_t pc = 0;
+    bool write = false;
+  };
+  util::check(trace.sites.size() <= kTraceSiteLimit,
+              "run_multiprogrammed: a trace has at most kTraceSiteLimit sites");
+  Site sites[kTraceSiteLimit] = {};
+  for (std::size_t s = 0; s < trace.sites.size(); ++s) {
+    const TraceSite& site = trace.sites[s];
+    sites[s] = {.base = map.base[static_cast<std::size_t>(site.array)],
+                .compute = site.compute,
+                .pc = site.pc,
+                .write = site.write};
+  }
   hierarchy.set_dram_log(&log);
   util::Cycle gap = 0;
   std::uint64_t instructions = 0;
-  for (const TraceOp& op : trace.ops) {
+  // SIMLINT-HOT-BEGIN: per-op recording loop — no allocation beyond the
+  // streams' growth, no std::string, no by-name registry resolves.
+  for (const TraceOp op : trace.ops) {
     const std::size_t requests_before = log.size();
-    const sys::VAddr addr =
-        map.base[static_cast<std::size_t>(op.array)] + op.index * 4ull;
+    const Site& site = sites[op.site];
+    const sys::VAddr addr = site.base + op.index * 4ull;
     util::Cycle clock = 0;
-    const sys::PathResult r = op.write ? port.store(addr, clock, op.pc)
-                                       : port.load(addr, clock, op.pc);
+    const sys::PathResult r = site.write ? port.store(addr, clock, site.pc)
+                                         : port.load(addr, clock, site.pc);
     // Rough instruction accounting: the access itself plus the surrounding
     // arithmetic (~1 instruction per modeled compute cycle on this core).
-    instructions += 1 + op.compute;
+    instructions += 1 + site.compute;
     // Recorded requests cost nothing, so the latency is TLB + lookups.
-    const util::Cycle lead = op.compute + r.latency;
+    const util::Cycle lead = site.compute + r.latency;
     const std::size_t requests = log.size() - requests_before;
     if (requests == 0) {
       gap += lead;
@@ -192,6 +214,7 @@ void record_instance(cache::Hierarchy& hierarchy,
     events.push_back(event);
     gap = 0;
   }
+  // SIMLINT-HOT-END
   hierarchy.set_dram_log(nullptr);
   out.stream.trailing_gap = gap;
   out.instructions = instructions;
@@ -366,6 +389,8 @@ RunStats run_multiprogrammed(const MultiprogConfig& config,
   // what makes concurrent cells of a sweep independent — and therefore
   // schedule-invariant.
   dram::MemoryController controller(sys_config.dram, sys_config.mapping);
+  // SIMLINT-HOT-BEGIN: per-event merge loop — no allocation, no
+  // std::string, no by-name registry resolves.
   const std::uint32_t row_bits = fe->row_bits;
   const std::uint64_t row_mask = (std::uint64_t{1} << row_bits) - 1;
   const auto access = [&](std::uint32_t request, util::Cycle now,
@@ -414,6 +439,7 @@ RunStats run_multiprogrammed(const MultiprogConfig& config,
       replay(b, kInstanceB);
     }
   }
+  // SIMLINT-HOT-END
   const util::Cycle clock_a = a.clock + fe->instances[0].trailing_gap;
   const util::Cycle clock_b = b.clock + fe->instances[1].trailing_gap;
 

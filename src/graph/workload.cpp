@@ -7,33 +7,26 @@
 
 namespace impact::graph {
 
+Emitter::Site Emitter::read(ArrayRef array, std::uint16_t compute,
+                            std::uint16_t pc) {
+  return declare({.pc = pc, .compute = compute, .array = array});
+}
+
+Emitter::Site Emitter::write(ArrayRef array, std::uint16_t compute,
+                             std::uint16_t pc) {
+  return declare(
+      {.pc = pc, .compute = compute, .array = array, .write = true});
+}
+
+Emitter::Site Emitter::declare(const TraceSite& site) {
+  util::check(site.pc < kTracePcLimit, "Emitter: pc must fit TraceSite::pc");
+  util::check(trace_->sites.size() < kTraceSiteLimit,
+              "Emitter: a trace has at most kTraceSiteLimit sites");
+  trace_->sites.push_back(site);
+  return static_cast<Site>(trace_->sites.size() - 1);
+}
+
 namespace {
-
-/// Trace emission helper: appends ops while the kernel computes for real.
-class Emitter {
- public:
-  explicit Emitter(WorkloadTrace& trace) : trace_(&trace) {}
-
-  void read(ArrayRef a, std::uint32_t i, std::uint16_t compute,
-            std::uint16_t pc) {
-    push(a, i, compute, pc, false);
-  }
-  void write(ArrayRef a, std::uint32_t i, std::uint16_t compute,
-             std::uint16_t pc) {
-    push(a, i, compute, pc, true);
-  }
-
- private:
-  void push(ArrayRef a, std::uint32_t i, std::uint16_t compute,
-            std::uint16_t pc, bool write) {
-    util::check(pc < kTracePcLimit, "Emitter: pc must fit TraceOp::pc");
-    TraceOp op{.index = i, .compute = compute, .array = a, .write = write};
-    op.pc = pc;
-    trace_->ops.push_back(op);
-  }
-
-  WorkloadTrace* trace_;
-};
 
 /// BFS from node 0: offsets/edges streamed per frontier node, random
 /// parent-array probes. High MPKI, low row locality on node state.
@@ -42,6 +35,11 @@ WorkloadTrace trace_bfs(const CsrGraph& g) {
   t.kind = WorkloadKind::kBFS;
   t.private_elems[0] = g.nodes();  // parent array
   Emitter e(t);
+  const Emitter::Site offset_u = e.read(ArrayRef::kOffsets, 3, 10);
+  const Emitter::Site offset_next = e.read(ArrayRef::kOffsets, 1, 11);
+  const Emitter::Site edge = e.read(ArrayRef::kEdges, 2, 12);
+  const Emitter::Site parent_v = e.read(ArrayRef::kPrivate0, 2, 13);
+  const Emitter::Site set_parent = e.write(ArrayRef::kPrivate0, 1, 14);
   std::vector<NodeId> parent(g.nodes(), ~0u);
   std::deque<NodeId> frontier{0};
   parent[0] = 0;
@@ -49,15 +47,15 @@ WorkloadTrace trace_bfs(const CsrGraph& g) {
   while (!frontier.empty()) {
     const NodeId u = frontier.front();
     frontier.pop_front();
-    e.read(ArrayRef::kOffsets, u, 3, 10);
-    e.read(ArrayRef::kOffsets, u + 1, 1, 11);
+    e.emit(offset_u, u);
+    e.emit(offset_next, u + 1);
     for (std::uint32_t i = g.offset(u); i < g.offset(u + 1); ++i) {
-      e.read(ArrayRef::kEdges, i, 2, 12);
+      e.emit(edge, i);
       const NodeId v = g.edge(i);
-      e.read(ArrayRef::kPrivate0, v, 2, 13);
+      e.emit(parent_v, v);
       if (parent[v] == ~0u) {
         parent[v] = u;
-        e.write(ArrayRef::kPrivate0, v, 1, 14);
+        e.emit(set_parent, v);
         frontier.push_back(v);
         ++visited;
       }
@@ -76,21 +74,25 @@ WorkloadTrace trace_pr(const CsrGraph& g) {
   t.private_elems[0] = g.nodes();  // rank
   t.private_elems[1] = g.nodes();  // next
   Emitter e(t);
+  const Emitter::Site offset_u = e.read(ArrayRef::kOffsets, 6, 20);
+  const Emitter::Site edge = e.read(ArrayRef::kEdges, 8, 21);
+  const Emitter::Site rank_v = e.read(ArrayRef::kPrivate0, 10, 22);
+  const Emitter::Site set_next = e.write(ArrayRef::kPrivate1, 6, 23);
   std::vector<double> rank(g.nodes(), 1.0 / g.nodes());
   std::vector<double> next(g.nodes(), 0.0);
   for (int iter = 0; iter < 2; ++iter) {
     for (NodeId u = 0; u < g.nodes(); ++u) {
-      e.read(ArrayRef::kOffsets, u, 6, 20);
+      e.emit(offset_u, u);
       double acc = 0.0;
       for (std::uint32_t i = g.offset(u); i < g.offset(u + 1); ++i) {
-        e.read(ArrayRef::kEdges, i, 8, 21);
+        e.emit(edge, i);
         const NodeId v = g.edge(i);
-        e.read(ArrayRef::kPrivate0, v, 10, 22);
+        e.emit(rank_v, v);
         const std::uint32_t deg = std::max(1u, g.degree(v));
         acc += rank[v] / deg;
       }
       next[u] = 0.15 / g.nodes() + 0.85 * acc;
-      e.write(ArrayRef::kPrivate1, u, 6, 23);
+      e.emit(set_next, u);
     }
     std::swap(rank, next);
   }
@@ -107,22 +109,27 @@ WorkloadTrace trace_cc(const CsrGraph& g) {
   t.kind = WorkloadKind::kCC;
   t.private_elems[0] = g.nodes();  // labels
   Emitter e(t);
+  const Emitter::Site offset_u = e.read(ArrayRef::kOffsets, 1, 30);
+  const Emitter::Site label_u = e.read(ArrayRef::kPrivate0, 1, 31);
+  const Emitter::Site edge = e.read(ArrayRef::kEdges, 1, 32);
+  const Emitter::Site label_v = e.read(ArrayRef::kPrivate0, 1, 33);
+  const Emitter::Site set_label = e.write(ArrayRef::kPrivate0, 1, 34);
   std::vector<NodeId> label(g.nodes());
   for (NodeId u = 0; u < g.nodes(); ++u) label[u] = u;
   for (int iter = 0; iter < 2; ++iter) {
     for (NodeId u = 0; u < g.nodes(); ++u) {
-      e.read(ArrayRef::kOffsets, u, 1, 30);
+      e.emit(offset_u, u);
       NodeId best = label[u];
-      e.read(ArrayRef::kPrivate0, u, 1, 31);
+      e.emit(label_u, u);
       for (std::uint32_t i = g.offset(u); i < g.offset(u + 1); ++i) {
-        e.read(ArrayRef::kEdges, i, 1, 32);
+        e.emit(edge, i);
         const NodeId v = g.edge(i);
-        e.read(ArrayRef::kPrivate0, v, 1, 33);
+        e.emit(label_v, v);
         best = std::min(best, label[v]);
       }
       if (best != label[u]) {
         label[u] = best;
-        e.write(ArrayRef::kPrivate0, u, 1, 34);
+        e.emit(set_label, u);
       }
     }
   }
@@ -138,17 +145,22 @@ WorkloadTrace trace_tc(const CsrGraph& g) {
   WorkloadTrace t;
   t.kind = WorkloadKind::kTC;
   Emitter e(t);
+  const Emitter::Site offset_u = e.read(ArrayRef::kOffsets, 4, 40);
+  const Emitter::Site edge_u = e.read(ArrayRef::kEdges, 4, 41);
+  const Emitter::Site offset_v = e.read(ArrayRef::kOffsets, 4, 42);
+  const Emitter::Site adj_u = e.read(ArrayRef::kEdges, 5, 43);
+  const Emitter::Site adj_v = e.read(ArrayRef::kEdges, 5, 44);
   std::uint64_t triangles = 0;
   // Cap per-node work to keep the trace bounded on skewed graphs.
   constexpr std::uint32_t kDegCap = 64;
   for (NodeId u = 0; u < g.nodes(); ++u) {
-    e.read(ArrayRef::kOffsets, u, 4, 40);
+    e.emit(offset_u, u);
     const std::uint32_t du = std::min(g.degree(u), kDegCap);
     for (std::uint32_t i = g.offset(u); i < g.offset(u) + du; ++i) {
-      e.read(ArrayRef::kEdges, i, 4, 41);
+      e.emit(edge_u, i);
       const NodeId v = g.edge(i);
       if (v <= u) continue;
-      e.read(ArrayRef::kOffsets, v, 4, 42);
+      e.emit(offset_v, v);
       const std::uint32_t dv = std::min(g.degree(v), kDegCap);
       // Two-pointer intersection of adj(u) and adj(v).
       std::uint32_t a = g.offset(u);
@@ -156,8 +168,8 @@ WorkloadTrace trace_tc(const CsrGraph& g) {
       const std::uint32_t a_end = g.offset(u) + du;
       const std::uint32_t b_end = g.offset(v) + dv;
       while (a < a_end && b < b_end) {
-        e.read(ArrayRef::kEdges, a, 5, 43);
-        e.read(ArrayRef::kEdges, b, 5, 44);
+        e.emit(adj_u, a);
+        e.emit(adj_v, b);
         if (g.edge(a) == g.edge(b)) {
           ++triangles;
           ++a;
@@ -184,6 +196,15 @@ WorkloadTrace trace_bc(const CsrGraph& g) {
   t.private_elems[1] = g.nodes();  // dist
   t.private_elems[2] = g.nodes();  // delta (dependencies)
   Emitter e(t);
+  const Emitter::Site offset_u = e.read(ArrayRef::kOffsets, 25, 50);
+  const Emitter::Site edge = e.read(ArrayRef::kEdges, 20, 51);
+  const Emitter::Site dist_v = e.read(ArrayRef::kPrivate1, 20, 52);
+  const Emitter::Site set_dist = e.write(ArrayRef::kPrivate1, 15, 53);
+  const Emitter::Site add_sigma = e.write(ArrayRef::kPrivate0, 15, 54);
+  const Emitter::Site back_offset_u = e.read(ArrayRef::kOffsets, 25, 55);
+  const Emitter::Site back_edge = e.read(ArrayRef::kEdges, 20, 56);
+  const Emitter::Site delta_v = e.read(ArrayRef::kPrivate2, 20, 57);
+  const Emitter::Site set_delta = e.write(ArrayRef::kPrivate2, 15, 58);
   std::vector<double> centrality(g.nodes(), 0.0);
   constexpr NodeId kSources = 2;
   for (NodeId s = 0; s < kSources; ++s) {
@@ -198,32 +219,32 @@ WorkloadTrace trace_bc(const CsrGraph& g) {
       const NodeId u = q.front();
       q.pop_front();
       order.push_back(u);
-      e.read(ArrayRef::kOffsets, u, 25, 50);
+      e.emit(offset_u, u);
       for (std::uint32_t i = g.offset(u); i < g.offset(u + 1); ++i) {
-        e.read(ArrayRef::kEdges, i, 20, 51);
+        e.emit(edge, i);
         const NodeId v = g.edge(i);
-        e.read(ArrayRef::kPrivate1, v, 20, 52);
+        e.emit(dist_v, v);
         if (dist[v] < 0) {
           dist[v] = dist[u] + 1;
-          e.write(ArrayRef::kPrivate1, v, 15, 53);
+          e.emit(set_dist, v);
           q.push_back(v);
         }
         if (dist[v] == dist[u] + 1) {
           sigma[v] += sigma[u];
-          e.write(ArrayRef::kPrivate0, v, 15, 54);
+          e.emit(add_sigma, v);
         }
       }
     }
     for (auto it = order.rbegin(); it != order.rend(); ++it) {
       const NodeId u = *it;
-      e.read(ArrayRef::kOffsets, u, 25, 55);
+      e.emit(back_offset_u, u);
       for (std::uint32_t i = g.offset(u); i < g.offset(u + 1); ++i) {
-        e.read(ArrayRef::kEdges, i, 20, 56);
+        e.emit(back_edge, i);
         const NodeId v = g.edge(i);
         if (dist[v] == dist[u] + 1 && sigma[v] > 0) {
           delta[u] += sigma[u] / sigma[v] * (1.0 + delta[v]);
-          e.read(ArrayRef::kPrivate2, v, 20, 57);
-          e.write(ArrayRef::kPrivate2, u, 15, 58);
+          e.emit(delta_v, v);
+          e.emit(set_delta, u);
         }
       }
       if (u != s) centrality[u] += delta[u];
@@ -244,6 +265,11 @@ WorkloadTrace trace_sssp(const CsrGraph& g) {
   t.kind = WorkloadKind::kSSSP;
   t.private_elems[0] = g.nodes();  // dist
   Emitter e(t);
+  const Emitter::Site offset_u = e.read(ArrayRef::kOffsets, 3, 60);
+  const Emitter::Site dist_u = e.read(ArrayRef::kPrivate0, 2, 61);
+  const Emitter::Site edge = e.read(ArrayRef::kEdges, 3, 62);
+  const Emitter::Site dist_v = e.read(ArrayRef::kPrivate0, 3, 63);
+  const Emitter::Site set_dist = e.write(ArrayRef::kPrivate0, 2, 64);
   constexpr std::uint64_t kInf = ~0ull;
   std::vector<std::uint64_t> dist(g.nodes(), kInf);
   dist[0] = 0;
@@ -251,17 +277,17 @@ WorkloadTrace trace_sssp(const CsrGraph& g) {
   for (int round = 0; round < 3 && changed; ++round) {
     changed = false;
     for (NodeId u = 0; u < g.nodes(); ++u) {
-      e.read(ArrayRef::kOffsets, u, 3, 60);
-      e.read(ArrayRef::kPrivate0, u, 2, 61);
+      e.emit(offset_u, u);
+      e.emit(dist_u, u);
       if (dist[u] == kInf) continue;
       for (std::uint32_t i = g.offset(u); i < g.offset(u + 1); ++i) {
-        e.read(ArrayRef::kEdges, i, 3, 62);
+        e.emit(edge, i);
         const NodeId v = g.edge(i);
         const std::uint64_t w = 1 + (v & 7);  // Deterministic weights.
-        e.read(ArrayRef::kPrivate0, v, 3, 63);
+        e.emit(dist_v, v);
         if (dist[u] + w < dist[v]) {
           dist[v] = dist[u] + w;
-          e.write(ArrayRef::kPrivate0, v, 2, 64);
+          e.emit(set_dist, v);
           changed = true;
         }
       }

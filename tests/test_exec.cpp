@@ -8,6 +8,8 @@
 
 #include <atomic>
 #include <cstdint>
+#include <cstdlib>
+#include <optional>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -81,6 +83,31 @@ TEST(ThreadPool, SingleWorkerPoolStillCompletes) {
   std::atomic<int> counter{0};
   pool.for_each_index(10, [&](std::size_t) { ++counter; });
   EXPECT_EQ(counter.load(), 10);
+}
+
+TEST(ThreadPool, DefaultThreadsAcceptsOnlyDigits) {
+  // Reads IMPACT_THREADS only; no pool is constructed.
+  const char* old = std::getenv("IMPACT_THREADS");
+  const std::optional<std::string> saved =
+      old ? std::optional<std::string>(old) : std::nullopt;
+  ::unsetenv("IMPACT_THREADS");
+  const unsigned hw = exec::ThreadPool::default_threads();
+  const struct {
+    const char* value;
+    unsigned want;
+  } cases[] = {{"-1", hw}, {"-3", hw}, {"0", hw}, {"abc", hw},
+               {"+2", hw}, {" 3", hw}, {"", hw},  {"4", 4},
+               {"300", 256}};
+  for (const auto& c : cases) {
+    ::setenv("IMPACT_THREADS", c.value, 1);
+    EXPECT_EQ(exec::ThreadPool::default_threads(), c.want)
+        << "IMPACT_THREADS='" << c.value << "'";
+  }
+  if (saved) {
+    ::setenv("IMPACT_THREADS", saved->c_str(), 1);
+  } else {
+    ::unsetenv("IMPACT_THREADS");
+  }
 }
 
 TEST(DeriveSeed, DeterministicAndDistinct) {

@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <deque>
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -63,8 +64,9 @@ TEST(CsrGraphTest, ValidationRejectsBadShape) {
 //
 // The constants below were computed before the generators' fast paths
 // (branch-free RMAT quadrant bits, per-row counting sort in from_pairs,
-// the 8-byte TraceOp) went in: any change to the graphs or traces that
-// Fig. 11 replays shows here, not only as a shifted figure.
+// the 8-byte and then the 4-byte TraceOp over a site table) went in: any
+// change to the graphs or traces that Fig. 11 replays shows here, not only
+// as a shifted figure.
 
 /// FNV-1a-style hash over 64-bit words.
 struct Digest {
@@ -162,9 +164,14 @@ TEST(WorkloadTrace, AllWorkloadsProduceWork) {
   for (const auto kind : kExtendedWorkloads) {
     const auto trace = build_trace(kind, g);
     EXPECT_GT(trace.ops.size(), g.nodes()) << to_string(kind);
-    // Indices stay within the declared array sizes.
-    for (const auto& op : trace.ops) {
-      switch (op.array) {
+    ASSERT_FALSE(trace.sites.empty()) << to_string(kind);
+    ASSERT_LE(trace.sites.size(), kTraceSiteLimit) << to_string(kind);
+    // Every op names a declared site, and indices stay within the declared
+    // array sizes.
+    for (const TraceOp op : trace.ops) {
+      ASSERT_LT(op.site, trace.sites.size()) << to_string(kind);
+      const TraceSite& site = trace.sites[op.site];
+      switch (site.array) {
         case ArrayRef::kOffsets:
           EXPECT_LE(op.index, g.nodes());
           break;
@@ -173,7 +180,7 @@ TEST(WorkloadTrace, AllWorkloadsProduceWork) {
           break;
         default: {
           const auto p =
-              static_cast<std::size_t>(op.array) -
+              static_cast<std::size_t>(site.array) -
               static_cast<std::size_t>(ArrayRef::kPrivate0);
           ASSERT_LT(p, 3u);
           ASSERT_GT(trace.private_elems[p], 0u) << to_string(kind);
@@ -194,14 +201,42 @@ TEST(WorkloadTrace, TracesAreDeterministic) {
 }
 
 TEST(TraceOpTest, PackedFieldsRoundTrip) {
-  TraceOp op{.index = 0xffffffffu, .compute = 0xffff,
-             .array = ArrayRef::kPrivate2, .write = true};
-  op.pc = kTracePcLimit - 1;
-  EXPECT_EQ(op.index, 0xffffffffu);
-  EXPECT_EQ(op.compute, 0xffffu);
-  EXPECT_EQ(op.pc, 4095u);
-  EXPECT_EQ(op.array, ArrayRef::kPrivate2);
-  EXPECT_TRUE(op.write);
+  // The 64th site carries every site field at its bound, and its op the
+  // largest index.
+  WorkloadTrace trace;
+  Emitter e(trace);
+  for (std::uint32_t s = 0; s + 1 < kTraceSiteLimit; ++s) {
+    (void)e.read(ArrayRef::kOffsets, 1, 10);
+  }
+  const Emitter::Site last =
+      e.write(ArrayRef::kPrivate2, 0xffff, kTracePcLimit - 1);
+  e.emit(last, kTraceIndexLimit - 1);
+  ASSERT_EQ(trace.sites.size(), 64u);
+  ASSERT_EQ(trace.ops.size(), 1u);
+  const TraceOp op = trace.ops[0];
+  EXPECT_EQ(op.site, 63u);
+  EXPECT_EQ(op.index, (1u << 26) - 1);
+  const TraceSite& site = trace.sites[op.site];
+  EXPECT_EQ(site.pc, 4095u);
+  EXPECT_EQ(site.compute, 0xffffu);
+  EXPECT_EQ(site.array, ArrayRef::kPrivate2);
+  EXPECT_TRUE(site.write);
+}
+
+TEST(TraceOpTest, EmitterRejectsWhatDoesNotFit) {
+  WorkloadTrace trace;
+  Emitter e(trace);
+  EXPECT_THROW((void)e.read(ArrayRef::kOffsets, 1, kTracePcLimit),
+               std::invalid_argument);
+  const Emitter::Site site = e.read(ArrayRef::kEdges, 1, 10);
+  EXPECT_THROW(e.emit(site, kTraceIndexLimit), std::invalid_argument);
+  EXPECT_THROW(e.emit(site + 1, 0), std::invalid_argument);  // Undeclared.
+  while (trace.sites.size() < kTraceSiteLimit) {
+    (void)e.read(ArrayRef::kEdges, 1, 10);
+  }
+  EXPECT_THROW((void)e.write(ArrayRef::kEdges, 1, 10), std::invalid_argument);
+  EXPECT_EQ(trace.sites.size(), 64u);
+  EXPECT_TRUE(trace.ops.empty());
 }
 
 /// One kernel's trace over the Fig. 11 input, pinned field by field.
@@ -225,12 +260,13 @@ TEST_P(TracePins, Fig11TraceIsPinned) {
   const auto g = CsrGraph::rmat(15, 262144, rng);
   const WorkloadTrace t = build_trace(want.kind, g);
   Digest d;
-  for (const TraceOp& op : t.ops) {
+  for (const TraceOp op : t.ops) {
+    const TraceSite& site = t.sites[op.site];
     d.add(op.index);
-    d.add(op.compute);
-    d.add(op.pc);
-    d.add(static_cast<std::uint64_t>(op.array));
-    d.add(op.write ? 1 : 0);
+    d.add(site.compute);
+    d.add(site.pc);
+    d.add(static_cast<std::uint64_t>(site.array));
+    d.add(site.write ? 1 : 0);
   }
   EXPECT_EQ(t.kind, want.kind);
   EXPECT_EQ(t.ops.size(), want.ops);
@@ -376,16 +412,17 @@ RunStats reference_run(const MultiprogConfig& config,
 
   RunStats stats;
   const auto replay = [&](sys::MemorySystem::AccessPort& port,
-                          const RefArrays& map, const TraceOp& op,
+                          const RefArrays& map, const TraceOp op,
                           util::Cycle& clock) {
-    clock += op.compute;
-    stats.instructions += 1 + op.compute;
+    const TraceSite& site = trace.sites.at(op.site);
+    clock += site.compute;
+    stats.instructions += 1 + site.compute;
     const sys::VAddr addr =
-        map.base[static_cast<std::size_t>(op.array)] + op.index * 4ull;
-    if (op.write) {
-      (void)port.store(addr, clock, op.pc);
+        map.base[static_cast<std::size_t>(site.array)] + op.index * 4ull;
+    if (site.write) {
+      (void)port.store(addr, clock, site.pc);
     } else {
-      (void)port.load(addr, clock, op.pc);
+      (void)port.load(addr, clock, site.pc);
     }
   };
   util::Cycle clock_a = 0;
@@ -750,24 +787,18 @@ TEST(SharedGraph, LiveInputsOfDifferentKindsShareOneGraph) {
 
 // --- Hand-built inputs for the back end's merge edge cases ---------------
 
-/// A small shared graph plus a hand-written trace. Private array 0 spans
-/// 64 pages, so its elements 1024 apart sit on different pages.
-WorkloadInput hand_built(std::vector<TraceOp> ops) {
+/// A small shared graph plus a hand-written trace, emitted by `emit`
+/// through the same Emitter and site table the kernels use. Private array
+/// 0 spans 64 pages, so its elements 1024 apart sit on different pages.
+WorkloadInput hand_built(const std::function<void(Emitter&)>& emit) {
   util::Xoshiro256 rng(3);
   WorkloadInput input;
   input.graph =
       std::make_shared<const CsrGraph>(CsrGraph::uniform(1024, 8192, rng));
-  input.trace.ops = std::move(ops);
+  Emitter e(input.trace);
+  emit(e);
   input.trace.private_elems[0] = 1u << 16;
   return input;
-}
-
-TraceOp load(ArrayRef array, std::uint32_t index, std::uint16_t compute,
-             std::uint16_t pc = 1) {
-  // pc is a 12-bit field: a braced init from a uint16_t would narrow.
-  TraceOp op{.index = index, .compute = compute, .array = array};
-  op.pc = pc;
-  return op;
 }
 
 /// Runs `input` under every policy, split and per-access, and compares.
@@ -786,24 +817,26 @@ TEST(FrontEndSplitEdges, TiedClocksRunInstanceAFirst) {
   // Both instances replay the same ops from clock 0, so every DRAM event
   // below starts on equal keys until contention separates the clocks: the
   // shared edge array puts both on one row, the private pages on others.
-  std::vector<TraceOp> ops;
-  for (std::uint32_t i = 0; i < 8; ++i) {
-    ops.push_back(load(ArrayRef::kEdges, 1024 * i, 10));
-    ops.push_back(load(ArrayRef::kPrivate0, 1024 * i, 10, 2));
-  }
-  expect_matches_reference(hand_built(std::move(ops)));
+  expect_matches_reference(hand_built([](Emitter& e) {
+    const Emitter::Site edge = e.read(ArrayRef::kEdges, 10, 1);
+    const Emitter::Site own = e.read(ArrayRef::kPrivate0, 10, 2);
+    for (std::uint32_t i = 0; i < 8; ++i) {
+      e.emit(edge, 1024 * i);
+      e.emit(own, 1024 * i);
+    }
+  }));
 }
 
 TEST(FrontEndSplitEdges, HitsAfterTheLastDramRequestStillCount) {
   // A few misses, then a long run of L1 hits on one element: the cycles
   // after the last DRAM event are the trailing gap.
-  std::vector<TraceOp> ops;
-  for (std::uint32_t i = 0; i < 4; ++i) {
-    ops.push_back(load(ArrayRef::kPrivate0, 1024 * i, 10));
-  }
   constexpr std::size_t kHits = 5000;
-  ops.resize(ops.size() + kHits, load(ArrayRef::kOffsets, 0, 100, 2));
-  const WorkloadInput input = hand_built(std::move(ops));
+  const WorkloadInput input = hand_built([](Emitter& e) {
+    const Emitter::Site miss = e.read(ArrayRef::kPrivate0, 10, 1);
+    const Emitter::Site hit = e.read(ArrayRef::kOffsets, 100, 2);
+    for (std::uint32_t i = 0; i < 4; ++i) e.emit(miss, 1024 * i);
+    for (std::size_t i = 0; i < kHits; ++i) e.emit(hit, 0);
+  });
   expect_matches_reference(input);
   EXPECT_GT(run_multiprogrammed(split_config(), input,
                                 dram::RowPolicy::kOpenRow)
@@ -814,16 +847,29 @@ TEST(FrontEndSplitEdges, HitsAfterTheLastDramRequestStillCount) {
 TEST(FrontEndSplitEdges, HitRunLongerThan32BitsOfCycles) {
   // ~66 K hits of 65535 compute cycles each between two misses: the gap
   // before the second miss exceeds 2^32 cycles and is split by a filler.
-  std::vector<TraceOp> ops = {load(ArrayRef::kPrivate0, 0, 10)};
-  ops.resize(66000, load(ArrayRef::kPrivate0, 0, 65535, 2));
-  ops.push_back(load(ArrayRef::kPrivate0, 1024, 10, 3));
-  ops.push_back(load(ArrayRef::kEdges, 0, 10, 4));
-  const WorkloadInput input = hand_built(std::move(ops));
+  const WorkloadInput input = hand_built([](Emitter& e) {
+    e.emit(e.read(ArrayRef::kPrivate0, 10, 1), 0);
+    const Emitter::Site hit = e.read(ArrayRef::kPrivate0, 65535, 2);
+    for (int i = 1; i < 66000; ++i) e.emit(hit, 0);
+    e.emit(e.read(ArrayRef::kPrivate0, 10, 3), 1024);
+    e.emit(e.read(ArrayRef::kEdges, 10, 4), 0);
+  });
   expect_matches_reference(input);
   EXPECT_GT(run_multiprogrammed(split_config(), input,
                                 dram::RowPolicy::kOpenRow)
                 .cycles,
             util::Cycle{1} << 32);
+}
+
+TEST(FrontEndSplitEdges, RejectsASiteTableBeyondItsLimit) {
+  // The front end resolves at most kTraceSiteLimit sites per trace; a
+  // table grown past that by hand, not through an Emitter, is refused.
+  WorkloadInput input = hand_built(
+      [](Emitter& e) { e.emit(e.read(ArrayRef::kPrivate0, 10, 1), 0); });
+  input.trace.sites.resize(kTraceSiteLimit + 1);
+  EXPECT_THROW((void)run_multiprogrammed(split_config(), input,
+                                         dram::RowPolicy::kOpenRow),
+               std::invalid_argument);
 }
 
 // --- Recording the two instances concurrently ----------------------------
@@ -879,11 +925,13 @@ TEST(ConcurrentFrontEnd, InlineAndThreadedRecordingsAgree) {
 TEST(ConcurrentFrontEnd, RecordingErrorReachesTheCaller) {
   // The second op's index lies far past private array 0's 64 pages, so
   // the translation inside the recording throws.
-  const std::vector<TraceOp> ops = {load(ArrayRef::kPrivate0, 0, 10),
-                                    load(ArrayRef::kPrivate0, 1u << 24, 10, 2)};
+  const auto emit = [](Emitter& e) {
+    e.emit(e.read(ArrayRef::kPrivate0, 10, 1), 0);
+    e.emit(e.read(ArrayRef::kPrivate0, 10, 2), 1u << 24);
+  };
   for (const char* threads : {"1", "2"}) {
     const ThreadsEnv env(threads);
-    const WorkloadInput input = hand_built(ops);
+    const WorkloadInput input = hand_built(emit);
     EXPECT_THROW((void)run_multiprogrammed(split_config(), input,
                                            dram::RowPolicy::kOpenRow),
                  std::invalid_argument)

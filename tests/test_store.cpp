@@ -315,6 +315,64 @@ TEST(Canon, GoldenFingerprintPinsCanonicalization) {
   EXPECT_EQ(fp.hex(), "3e29ce83e1a030d7abdcfdc57f02a62e");
 }
 
+// The defaults above give trcd_ns, trp_ns and tcas_ns one value, so a
+// canon_of that swapped two of them would still hash the same. Here every
+// field holds its own non-default value: a swap of any two fields, or a
+// changed name or tag, moves these pins.
+TEST(Canon, GoldenFingerprintOfDistinctFieldValues) {
+  ASSERT_EQ(store::kSchemaVersion, 2u);
+  graph::MultiprogConfig config;
+  sys::SystemConfig& s = config.system;
+  s.freq_ghz = 2.9;
+  s.cores = 6;
+  s.dram.channels = 2;
+  s.dram.ranks = 3;
+  s.dram.banks_per_rank = 5;
+  s.dram.rows_per_bank = 32768;
+  s.dram.row_bytes = 4096;
+  s.dram.subarray_rows = 256;
+  s.dram.policy = dram::RowPolicy::kClosedRow;
+  s.dram.timing = {.trcd_ns = 14.0,
+                   .trp_ns = 15.0,
+                   .tras_ns = 33.0,
+                   .tcas_ns = 16.0,
+                   .tbl_ns = 3.5,
+                   .row_timeout_ns = 101.0,
+                   .rowclone_fpm_ns = 91.0,
+                   .timeout_mode = dram::RowTimeoutMode::kIdlePrecharge,
+                   .trefi_ns = 7801.0,
+                   .trfc_ns = 351.0};
+  s.dram.freq = util::Frequency{3.1};
+  s.mapping = dram::MappingScheme::kXorBankHash;
+  s.llc_bytes = 3ull << 20;
+  s.llc_ways = 12;
+  s.cache_scale = 128;
+  s.prefetchers = false;
+  s.tlb = {.l1 = {48, 7, 9},
+           .l1_huge = {24, 11, 13},
+           .l2 = {1024, 17, 19},
+           .walk_latency = 81,
+           .page_bits = 23,
+           .huge_page_bits = 29};
+  s.timer = {.rdtscp_cost = 31, .cpuid_cost = 37};
+  s.dma = {.per_transfer_overhead = 331};
+  s.seed = 43;
+  config.rmat_scale = 14;
+  config.edge_count = 100000;
+  config.graph_seed = 98;
+  EXPECT_EQ(store::canon_of(config).fingerprint().hex(),
+            "c6886d1cb18b5d78efff43a0cc758dd1");
+
+  const std::vector<fault::FaultConfig> faults = {
+      {fault::FaultKind::kClockDrift, 0.03, 401, 7, 9001},
+      {fault::FaultKind::kSemaphoreDelay, 0.04, 402, 8, 9002},
+  };
+  EXPECT_EQ(store::canon_of(std::span<const fault::FaultConfig>(faults))
+                .fingerprint()
+                .hex(),
+            "183567a9d1d37a81f73464bc8bbc9666");
+}
+
 /// One field of a config struct, changed to a value its default is not.
 template <typename Config>
 struct FieldChange {

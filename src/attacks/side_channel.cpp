@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <tuple>
 #include <utility>
 
 #include "attacks/common.hpp"
@@ -20,78 +21,36 @@ struct Window {
   bool any_disturbance = false;
 };
 
-/// Every SeedTableConfig and MinimizerConfig field is either in the
-/// reference key or only affects how the index is striped over the banks
-/// (entry_bytes, row_bytes, table_row). A new field changes a size:
-/// classify it here and in test_attacks_side's ReferenceKey tests before
-/// updating the size.
-static_assert(sizeof(genomics::MinimizerConfig) == 8,
-              "classify the new MinimizerConfig field for ReferenceKey");
-static_assert(sizeof(genomics::SeedTableConfig) == 28,
-              "classify the new SeedTableConfig field for ReferenceKey");
-
-/// Everything shared_reference's build reads.
-struct ReferenceKey {
-  std::uint64_t seed = 0;
-  std::size_t genome_length = 0;
-  std::uint32_t buckets = 0;
-  std::uint32_t max_positions = 0;
-  std::uint32_t k = 0;
-  std::uint32_t w = 0;
-
-  auto operator<=>(const ReferenceKey&) const = default;
-};
-
-ReferenceKey reference_key(const SideChannelConfig& config) {
-  return {config.seed,
-          config.genome_length,
-          config.table.buckets,
-          config.table.max_positions,
-          config.table.minimizer.k,
-          config.table.minimizer.w};
+/// What shared_reference's build reads: the seed, the genome length and
+/// the table config with the fields that only stripe the index over the
+/// banks (entry_bytes, row_bytes, table_row) reset. Any other table field,
+/// a new one included, stays in the key.
+auto reference_key(const SideChannelConfig& config) {
+  genomics::SeedTableConfig table = config.table;
+  table.entry_bytes = 0;
+  table.row_bytes = 0;
+  table.table_row = 0;
+  return std::tuple{config.seed, config.genome_length, table};
 }
 
-util::InternTable<ReferenceKey, genomics::IndexedReference>& references() {
-  static util::InternTable<ReferenceKey, genomics::IndexedReference> table;
+auto& references() {
+  static util::InternTable<decltype(reference_key({})),
+                           genomics::IndexedReference>
+      table;
   return table;
 }
 
-/// Every field of the read simulator and the mapper is in the victim plan
-/// key: read_length and substitution_rate shape the reads; the chain,
-/// align, candidate_flank and min_chain_anchors fields steer the mapping.
-/// A new field changes a size: classify it here and in
-/// test_attacks_side's VictimPlanKey tests before updating the size.
-/// MapperConfig ends in 4 bytes of padding, which a new 4-byte field would
-/// fill without changing its size; check its fields by hand.
-static_assert(sizeof(genomics::ReadSimConfig) == 16,
-              "classify the new ReadSimConfig field for VictimPlanKey");
-static_assert(sizeof(genomics::ChainConfig) == 16,
-              "classify the new ChainConfig field for VictimPlanKey");
-static_assert(sizeof(genomics::AlignConfig) == 4,
-              "classify the new AlignConfig field for VictimPlanKey");
-static_assert(sizeof(genomics::MapperConfig) == 32,
-              "classify the new MapperConfig field for VictimPlanKey");
+/// What shared_victim_plan's build reads: the reference key (the read RNG
+/// is seeded from its seed), the read count, the whole read simulator and
+/// mapper configs, and the row size in bases.
+auto victim_plan_key(const SideChannelConfig& config,
+                     std::uint32_t bases_per_row) {
+  return std::tuple{reference_key(config), config.reads, config.readsim,
+                    config.mapper, bases_per_row};
+}
 
-/// Everything shared_victim_plan's build reads. The read RNG is seeded
-/// from reference.seed.
-struct VictimPlanKey {
-  ReferenceKey reference;
-  std::size_t reads = 0;
-  std::size_t read_length = 0;
-  double substitution_rate = 0.0;
-  std::uint32_t max_gap = 0;
-  std::uint32_t max_skip = 0;
-  double gap_penalty = 0.0;
-  std::uint32_t band = 0;
-  std::uint32_t candidate_flank = 0;
-  std::uint32_t min_chain_anchors = 0;
-  std::uint32_t bases_per_row = 0;
-
-  auto operator<=>(const VictimPlanKey&) const = default;
-};
-
-util::InternTable<VictimPlanKey, VictimPlan>& victim_plans() {
-  static util::InternTable<VictimPlanKey, VictimPlan> table;
+auto& victim_plans() {
+  static util::InternTable<decltype(victim_plan_key({}, 0)), VictimPlan> table;
   return table;
 }
 
@@ -144,21 +103,10 @@ std::vector<genomics::Read> victim_reads(const SideChannelConfig& config,
 std::shared_ptr<const VictimPlan> shared_victim_plan(
     const SideChannelConfig& config) {
   const std::uint32_t bases_per_row = config.table.row_bytes * 4;
-  const genomics::MapperConfig& mapper = config.mapper;
-  const VictimPlanKey key{reference_key(config),
-                          config.reads,
-                          config.readsim.read_length,
-                          config.readsim.substitution_rate,
-                          mapper.chain.max_gap,
-                          mapper.chain.max_skip,
-                          mapper.chain.gap_penalty,
-                          mapper.align.band,
-                          mapper.candidate_flank,
-                          mapper.min_chain_anchors,
-                          bases_per_row};
-  return victim_plans().acquire(key, [&config, bases_per_row] {
-    return map_victim(config, bases_per_row);
-  });
+  return victim_plans().acquire(victim_plan_key(config, bases_per_row),
+                                [&config, bases_per_row] {
+                                  return map_victim(config, bases_per_row);
+                                });
 }
 
 std::size_t victim_plan_builds() { return victim_plans().builds(); }

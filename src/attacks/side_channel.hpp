@@ -115,9 +115,9 @@ struct SideChannelResult {
 };
 
 /// The reference genome and seed index a spy of `config` maps against. A
-/// pure function of config's seed, genome_length, table.buckets,
-/// table.max_positions and table.minimizer, so every spy alive at once
-/// with equal values of those fields (its bank count may differ) shares
+/// pure function of config's seed, genome_length and table less its
+/// striping fields (entry_bytes, row_bytes, table_row), so every spy alive
+/// at once with equal values of those (its bank count may differ) shares
 /// one build; the build is freed with its last holder.
 [[nodiscard]] std::shared_ptr<const genomics::IndexedReference>
 shared_reference(const SideChannelConfig& config);

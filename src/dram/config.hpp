@@ -1,6 +1,7 @@
 // DRAM geometry, timing parameters and row-buffer management policies.
 #pragma once
 
+#include <compare>
 #include <cstdint>
 
 #include "util/assert.hpp"
@@ -68,6 +69,8 @@ struct TimingParams {
   /// paper's warmed-up measurement windows).
   double trefi_ns = 0.0;
   double trfc_ns = 350.0;
+
+  auto operator<=>(const TimingParams&) const = default;
 };
 
 /// Timing parameters converted to host CPU cycles.
@@ -124,6 +127,8 @@ struct DramConfig {
   RowPolicy policy = RowPolicy::kOpenRow;
   TimingParams timing{};
   util::Frequency freq = util::kDefaultFrequency;
+
+  auto operator<=>(const DramConfig&) const = default;
 
   [[nodiscard]] std::uint32_t total_banks() const {
     return channels * ranks * banks_per_rank;

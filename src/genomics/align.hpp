@@ -2,6 +2,7 @@
 // step.
 #pragma once
 
+#include <compare>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -12,6 +13,8 @@ namespace impact::genomics {
 
 struct AlignConfig {
   std::uint32_t band = 16;  ///< Half-width of the DP band.
+
+  auto operator<=>(const AlignConfig&) const = default;
 };
 
 struct AlignResult {

@@ -2,6 +2,7 @@
 // explains a read's placement (the step between seeding and alignment).
 #pragma once
 
+#include <compare>
 #include <cstdint>
 #include <vector>
 
@@ -21,6 +22,8 @@ struct ChainConfig {
   std::uint32_t max_gap = 500;     ///< Max ref/read gap between anchors.
   std::uint32_t max_skip = 25;     ///< DP lookback (minimap2-style bound).
   double gap_penalty = 0.01;       ///< Per-base gap cost.
+
+  auto operator<=>(const ChainConfig&) const = default;
 };
 
 struct Chain {

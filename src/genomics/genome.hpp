@@ -9,6 +9,7 @@
 // configurable sequencing-error model.
 #pragma once
 
+#include <compare>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -60,6 +61,8 @@ struct Read {
 struct ReadSimConfig {
   std::size_t read_length = 150;
   double substitution_rate = 0.005;  ///< Per-base sequencing errors.
+
+  auto operator<=>(const ReadSimConfig&) const = default;
 };
 
 /// Samples `count` reads uniformly from `reference`.

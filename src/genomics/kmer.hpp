@@ -1,6 +1,7 @@
 // k-mer encoding and (w,k)-minimizer extraction (minimap2-style seeding).
 #pragma once
 
+#include <compare>
 #include <cstdint>
 #include <vector>
 
@@ -37,7 +38,7 @@ struct MinimizerConfig {
   std::uint32_t k = 15;  ///< Seed length.
   std::uint32_t w = 10;  ///< Window: one minimizer per w consecutive k-mers.
 
-  bool operator==(const MinimizerConfig&) const = default;
+  auto operator<=>(const MinimizerConfig&) const = default;
 };
 
 /// Extracts the (w,k)-minimizers of `seq`: for every window of w k-mers the

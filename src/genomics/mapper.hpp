@@ -7,6 +7,7 @@
 // system and record the ground truth the attacker tries to recover.
 #pragma once
 
+#include <compare>
 #include <cstdint>
 #include <functional>
 #include <vector>
@@ -46,6 +47,8 @@ struct MapperConfig {
   AlignConfig align{};
   std::uint32_t candidate_flank = 24;  ///< Extra reference bases aligned.
   std::uint32_t min_chain_anchors = 2; ///< Below this, the read is unmapped.
+
+  auto operator<=>(const MapperConfig&) const = default;
 };
 
 struct MappingResult {

@@ -15,6 +15,7 @@
 // device's banks.
 #pragma once
 
+#include <compare>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -42,6 +43,8 @@ struct SeedTableConfig {
   dram::RowId table_row = 20;         ///< The hash-table row in each bank.
   std::uint32_t max_positions = 64;   ///< Occupancy cap per bucket.
   MinimizerConfig minimizer{};
+
+  auto operator<=>(const SeedTableConfig&) const = default;
 };
 
 /// The bank-count-independent half of the seed table: the bucket index of

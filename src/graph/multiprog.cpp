@@ -110,25 +110,21 @@ struct FrontEnd {
 
 namespace {
 
-/// Every SystemConfig field is either compared below or cannot change what
-/// the front end records: freq_ghz, cores and dram.policy (both set per
-/// run), dram.timing, dram.freq, timer and dma. A new field changes the
-/// size: classify it here and in test_graph's FrontEndMemoKey before
-/// updating the size.
-static_assert(sizeof(sys::SystemConfig) == 264,
-              "classify the new SystemConfig field for same_front_end");
-
-/// True when the front end recorded under `a` is valid under `b`.
-bool same_front_end(const sys::SystemConfig& a, const sys::SystemConfig& b) {
-  return a.llc_bytes == b.llc_bytes && a.llc_ways == b.llc_ways &&
-         a.cache_scale == b.cache_scale && a.prefetchers == b.prefetchers &&
-         a.tlb == b.tlb && a.seed == b.seed && a.mapping == b.mapping &&
-         a.dram.channels == b.dram.channels &&
-         a.dram.ranks == b.dram.ranks &&
-         a.dram.banks_per_rank == b.dram.banks_per_rank &&
-         a.dram.rows_per_bank == b.dram.rows_per_bank &&
-         a.dram.row_bytes == b.dram.row_bytes &&
-         a.dram.subarray_rows == b.dram.subarray_rows;
+/// The part of `system` the front end reads: `system` with the groups it
+/// never reads reset. freq_ghz, cores and dram.policy are set per run;
+/// dram.timing and dram.freq reach only the back end's controller; timer
+/// and dma reach no recorded path. Any other field, a new one included,
+/// stays in the view, so a front end is reused only under a config whose
+/// view compares equal.
+sys::SystemConfig front_end_view(sys::SystemConfig system) {
+  system.freq_ghz = 0.0;
+  system.cores = 0;
+  system.dram.policy = {};
+  system.dram.timing = {};
+  system.dram.freq = util::Frequency{0.0};
+  system.timer = {};
+  system.dma = {};
+  return system;
 }
 
 /// One instance's recording as its worker fills it. Aligned to a cache
@@ -309,23 +305,8 @@ std::shared_ptr<const FrontEnd> record_front_end(
   return fe;
 }
 
-/// Every MultiprogConfig field is either in the graph key or cannot change
-/// the graph (`system`). A new field changes the size: classify it here
-/// and in test_graph's GraphKey tests before updating the size.
-static_assert(sizeof(MultiprogConfig) == 288,
-              "classify the new MultiprogConfig field for GraphKey");
-
-/// Everything shared_graph's build reads.
-struct GraphKey {
-  std::uint64_t graph_seed = 0;
-  std::uint32_t rmat_scale = 0;
-  std::size_t edge_count = 0;
-
-  auto operator<=>(const GraphKey&) const = default;
-};
-
-util::InternTable<GraphKey, CsrGraph>& graphs() {
-  static util::InternTable<GraphKey, CsrGraph> table;
+util::InternTable<MultiprogConfig, CsrGraph>& graphs() {
+  static util::InternTable<MultiprogConfig, CsrGraph> table;
   return table;
 }
 
@@ -341,7 +322,8 @@ std::shared_ptr<const FrontEnd> FrontEndMemo::get(
     const sys::SystemConfig& system,
     const std::function<std::shared_ptr<const FrontEnd>()>& build) {
   const std::lock_guard<std::mutex> lock(mu_);
-  if (entry_ == nullptr || !same_front_end(entry_->system, system)) {
+  if (entry_ == nullptr ||
+      front_end_view(entry_->system) != front_end_view(system)) {
     entry_ = build();
   }
   return entry_;
@@ -354,9 +336,13 @@ std::uint64_t FrontEndMemo::dram_requests() const {
          entry_->instances[1].requests.size();
 }
 
+MultiprogConfig graph_inputs(MultiprogConfig config) {
+  config.system = {};
+  return config;
+}
+
 std::shared_ptr<const CsrGraph> shared_graph(const MultiprogConfig& config) {
-  const GraphKey key{config.graph_seed, config.rmat_scale, config.edge_count};
-  return graphs().acquire(key, [&config] {
+  return graphs().acquire(graph_inputs(config), [&config] {
     util::Xoshiro256 rng(config.graph_seed);
     return CsrGraph::rmat(config.rmat_scale, config.edge_count, rng);
   });

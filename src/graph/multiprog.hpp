@@ -7,6 +7,7 @@
 // interleaved by simulated time and measure total cycles per row policy.
 #pragma once
 
+#include <compare>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -24,6 +25,8 @@ struct MultiprogConfig {
   std::uint32_t rmat_scale = 15;      ///< 32k vertices.
   std::size_t edge_count = 262144;    ///< Directed edges.
   std::uint64_t graph_seed = 99;
+
+  auto operator<=>(const MultiprogConfig&) const = default;
 
   /// Fig. 11 default: hierarchy scaled down 256x together with the input
   /// graph (paper inputs are 7-8 GB; see SystemConfig::cache_scale), which
@@ -60,10 +63,11 @@ struct RunStats {
 /// multiprog.cpp).
 struct FrontEnd;
 
-/// Thread-safe one-entry memo of an input's FrontEnd, keyed on the
-/// system-config fields the front end reads (caches, prefetchers, TLB,
-/// seed, DRAM geometry and mapping — not the row policy or DRAM timing).
-/// A config that differs in any of them replaces the entry. A copy starts
+/// Thread-safe one-entry memo of an input's FrontEnd, keyed on the part of
+/// the system config the front end reads: the whole config less the groups
+/// it never reads (core count and frequency, row policy, DRAM timing and
+/// frequency, timer, DMA). A config that differs anywhere else replaces
+/// the entry. A copy starts
 /// empty and copy assignment empties the target, so an entry never
 /// outlives the trace it was recorded from.
 class FrontEndMemo {
@@ -102,9 +106,13 @@ struct WorkloadInput {
   mutable FrontEndMemo front_end;
 };
 
-/// The RMAT graph of config's graph_seed, rmat_scale and edge_count, the
-/// only fields its build reads: every graph alive at once with equal
-/// values of those shares one build, which is freed with its last holder.
+/// The part of `config` a workload input's build reads: `config` with
+/// `system` reset. Configs whose views compare equal build the same graph
+/// and, for one kind, the same trace.
+[[nodiscard]] MultiprogConfig graph_inputs(MultiprogConfig config);
+
+/// The RMAT graph of graph_inputs(config): every graph alive at once with
+/// an equal view shares one build, which is freed with its last holder.
 [[nodiscard]] std::shared_ptr<const CsrGraph> shared_graph(
     const MultiprogConfig& config);
 

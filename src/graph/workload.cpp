@@ -301,9 +301,7 @@ WorkloadTrace trace_sssp(const CsrGraph& g) {
   return t;
 }
 
-}  // namespace
-
-WorkloadTrace build_trace(WorkloadKind kind, const CsrGraph& graph) {
+WorkloadTrace trace_of(WorkloadKind kind, const CsrGraph& graph) {
   switch (kind) {
     case WorkloadKind::kBC:
       return trace_bc(graph);
@@ -320,6 +318,15 @@ WorkloadTrace build_trace(WorkloadKind kind, const CsrGraph& graph) {
   }
   util::check(false, "build_trace: unknown workload");
   return {};
+}
+
+}  // namespace
+
+WorkloadTrace build_trace(WorkloadKind kind, const CsrGraph& graph) {
+  WorkloadTrace trace = trace_of(kind, graph);
+  // The ops grew by doubling; a trace is read-only from here on.
+  trace.ops.shrink_to_fit();
+  return trace;
 }
 
 }  // namespace impact::graph

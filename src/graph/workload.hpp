@@ -128,7 +128,8 @@ class Emitter {
   WorkloadTrace* trace_;
 };
 
-/// Generates the access trace of one instance of `kind` over `graph`.
+/// Generates the access trace of one instance of `kind` over `graph`. Its
+/// ops hold no spare capacity.
 [[nodiscard]] WorkloadTrace build_trace(WorkloadKind kind,
                                         const CsrGraph& graph);
 

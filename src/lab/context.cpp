@@ -25,50 +25,6 @@ std::string Context::str(std::string_view name) const {
                               std::string(name) + "'");
 }
 
-namespace {
-
-[[noreturn]] void bad_value(const ExperimentSpec& spec, std::string_view name,
-                            const std::string& value, const char* want) {
-  throw std::invalid_argument("parameter '" + std::string(name) + "' of '" +
-                              spec.name + "': '" + value + "' is not " + want);
-}
-
-}  // namespace
-
-std::uint32_t Context::u32(std::string_view name) const {
-  const std::uint64_t v = u64(name);
-  if (v > 0xffffffffULL) bad_value(spec_, name, str(name), "a 32-bit value");
-  return static_cast<std::uint32_t>(v);
-}
-
-std::uint64_t Context::u64(std::string_view name) const {
-  const std::string value = str(name);
-  try {
-    std::size_t used = 0;
-    const std::uint64_t v = std::stoull(value, &used);
-    if (used != value.size()) bad_value(spec_, name, value, "an integer");
-    return v;
-  } catch (const std::invalid_argument&) {
-    bad_value(spec_, name, value, "an integer");
-  } catch (const std::out_of_range&) {
-    bad_value(spec_, name, value, "an integer in range");
-  }
-}
-
-double Context::f64(std::string_view name) const {
-  const std::string value = str(name);
-  try {
-    std::size_t used = 0;
-    const double v = std::stod(value, &used);
-    if (used != value.size()) bad_value(spec_, name, value, "a number");
-    return v;
-  } catch (const std::invalid_argument&) {
-    bad_value(spec_, name, value, "a number");
-  } catch (const std::out_of_range&) {
-    bad_value(spec_, name, value, "a number in range");
-  }
-}
-
 exec::ThreadPool& Context::pool() {
   if (!pool_) {
     pool_ = args_.threads > 0 ? std::make_unique<exec::ThreadPool>(args_.threads)

@@ -10,7 +10,6 @@
 // contract, not a suggestion).
 #pragma once
 
-#include <cstdint>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -44,11 +43,8 @@ class Context {
 
   /// Resolved parameter value: the --param override if given, else the
   /// spec default. Throws std::invalid_argument for names the spec does
-  /// not declare, and for values the numeric accessors cannot parse.
+  /// not declare.
   [[nodiscard]] std::string str(std::string_view name) const;
-  [[nodiscard]] std::uint32_t u32(std::string_view name) const;
-  [[nodiscard]] std::uint64_t u64(std::string_view name) const;
-  [[nodiscard]] double f64(std::string_view name) const;
 
   /// Shared worker pool, created on first use. --threads N overrides the
   /// IMPACT_THREADS/-hardware default.

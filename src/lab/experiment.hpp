@@ -32,8 +32,8 @@ enum class Kind {
 const char* kind_name(Kind kind);
 
 /// One declared parameter: overridable via `--param name=v` or
-/// `--<name> v`. The default is stored as text and converted at the
-/// access site (Context::u32 etc.) so the schema stays printable.
+/// `--<name> v`. The default is stored as text, read through
+/// Context::str, so the schema stays printable.
 struct ParamSpec {
   std::string name;
   std::string description;

@@ -112,106 +112,107 @@ Fingerprint Canon::fingerprint() const {
   return fp;
 }
 
-// Each canon_of lists its struct's fields by hand. A new field changes the
-// struct's size and fails the build here until it is added to canon_of and
-// to test_store's CanonOf.EveryInputChangeChangesTheFingerprint.
-static_assert(sizeof(dram::TimingParams) == 80,
-              "add the new TimingParams field to canon_of");
+// Each canon_of first binds every field of its struct by name. A new field
+// makes the binding's count wrong and fails the build here until it is
+// named, hashed and added to test_store's
+// CanonOf.EveryInputChangeChangesTheFingerprint.
 Canon canon_of(const dram::TimingParams& timing) {
+  const auto& [trcd_ns, trp_ns, tras_ns, tcas_ns, tbl_ns, row_timeout_ns,
+               rowclone_fpm_ns, timeout_mode, trefi_ns, trfc_ns] = timing;
   Canon c;
-  c.field("trcd_ns", timing.trcd_ns);
-  c.field("trp_ns", timing.trp_ns);
-  c.field("tras_ns", timing.tras_ns);
-  c.field("tcas_ns", timing.tcas_ns);
-  c.field("tbl_ns", timing.tbl_ns);
-  c.field("row_timeout_ns", timing.row_timeout_ns);
-  c.field("rowclone_fpm_ns", timing.rowclone_fpm_ns);
-  c.field("timeout_mode",
-          static_cast<std::uint64_t>(timing.timeout_mode));
-  c.field("trefi_ns", timing.trefi_ns);
-  c.field("trfc_ns", timing.trfc_ns);
+  c.field("trcd_ns", trcd_ns);
+  c.field("trp_ns", trp_ns);
+  c.field("tras_ns", tras_ns);
+  c.field("tcas_ns", tcas_ns);
+  c.field("tbl_ns", tbl_ns);
+  c.field("row_timeout_ns", row_timeout_ns);
+  c.field("rowclone_fpm_ns", rowclone_fpm_ns);
+  c.field("timeout_mode", static_cast<std::uint64_t>(timeout_mode));
+  c.field("trefi_ns", trefi_ns);
+  c.field("trfc_ns", trfc_ns);
   return c;
 }
 
-static_assert(sizeof(dram::DramConfig) == 120,
-              "add the new DramConfig field to canon_of");
 Canon canon_of(const dram::DramConfig& config) {
+  const auto& [channels, ranks, banks_per_rank, rows_per_bank, row_bytes,
+               subarray_rows, policy, timing, freq] = config;
   Canon c;
-  c.field("channels", config.channels);
-  c.field("ranks", config.ranks);
-  c.field("banks_per_rank", config.banks_per_rank);
-  c.field("rows_per_bank", config.rows_per_bank);
-  c.field("row_bytes", config.row_bytes);
-  c.field("subarray_rows", config.subarray_rows);
-  c.field("policy", to_string(config.policy));
-  c.object("timing", canon_of(config.timing));
-  c.field("freq_ghz", config.freq.ghz());
+  c.field("channels", channels);
+  c.field("ranks", ranks);
+  c.field("banks_per_rank", banks_per_rank);
+  c.field("rows_per_bank", rows_per_bank);
+  c.field("row_bytes", row_bytes);
+  c.field("subarray_rows", subarray_rows);
+  c.field("policy", to_string(policy));
+  c.object("timing", canon_of(timing));
+  c.field("freq_ghz", freq.ghz());
   return c;
 }
 
-static_assert(sizeof(sys::TlbConfig) == 64,
-              "add the new TlbConfig field to canon_of");
 Canon canon_of(const sys::TlbConfig& config) {
-  Canon c;
+  const auto& [l1, l1_huge, l2, walk_latency, page_bits, huge_page_bits] =
+      config;
   const auto level = [](const sys::TlbLevelConfig& l) {
+    const auto& [entries, ways, latency] = l;
     Canon lc;
-    lc.field("entries", l.entries);
-    lc.field("ways", l.ways);
-    lc.field("latency", static_cast<std::uint64_t>(l.latency));
+    lc.field("entries", entries);
+    lc.field("ways", ways);
+    lc.field("latency", static_cast<std::uint64_t>(latency));
     return lc;
   };
-  c.object("l1", level(config.l1));
-  c.object("l1_huge", level(config.l1_huge));
-  c.object("l2", level(config.l2));
-  c.field("walk_latency", static_cast<std::uint64_t>(config.walk_latency));
-  c.field("page_bits", config.page_bits);
-  c.field("huge_page_bits", config.huge_page_bits);
+  Canon c;
+  c.object("l1", level(l1));
+  c.object("l1_huge", level(l1_huge));
+  c.object("l2", level(l2));
+  c.field("walk_latency", static_cast<std::uint64_t>(walk_latency));
+  c.field("page_bits", page_bits);
+  c.field("huge_page_bits", huge_page_bits);
   return c;
 }
 
-static_assert(sizeof(sys::SystemConfig) == 264,
-              "add the new SystemConfig field to canon_of");
 Canon canon_of(const sys::SystemConfig& config) {
+  const auto& [freq_ghz, cores, dram, mapping, llc_bytes, llc_ways,
+               cache_scale, prefetchers, tlb, timer, dma, seed] = config;
+  // timer and dma are hashed flat, one field per member.
+  const auto& [rdtscp_cost, cpuid_cost] = timer;
+  const auto& [per_transfer_overhead] = dma;
   Canon c;
-  c.field("freq_ghz", config.freq_ghz);
-  c.field("cores", config.cores);
-  c.object("dram", canon_of(config.dram));
-  c.field("mapping", to_string(config.mapping));
-  c.field("llc_bytes", config.llc_bytes);
-  c.field("llc_ways", config.llc_ways);
-  c.field("cache_scale", config.cache_scale);
-  c.field("prefetchers", config.prefetchers);
-  c.object("tlb", canon_of(config.tlb));
-  c.field("timer.rdtscp_cost",
-          static_cast<std::uint64_t>(config.timer.rdtscp_cost));
-  c.field("timer.cpuid_cost",
-          static_cast<std::uint64_t>(config.timer.cpuid_cost));
+  c.field("freq_ghz", freq_ghz);
+  c.field("cores", cores);
+  c.object("dram", canon_of(dram));
+  c.field("mapping", to_string(mapping));
+  c.field("llc_bytes", llc_bytes);
+  c.field("llc_ways", llc_ways);
+  c.field("cache_scale", cache_scale);
+  c.field("prefetchers", prefetchers);
+  c.object("tlb", canon_of(tlb));
+  c.field("timer.rdtscp_cost", static_cast<std::uint64_t>(rdtscp_cost));
+  c.field("timer.cpuid_cost", static_cast<std::uint64_t>(cpuid_cost));
   c.field("dma.per_transfer_overhead",
-          static_cast<std::uint64_t>(config.dma.per_transfer_overhead));
-  c.field("seed", config.seed);
+          static_cast<std::uint64_t>(per_transfer_overhead));
+  c.field("seed", seed);
   return c;
 }
 
-static_assert(sizeof(graph::MultiprogConfig) == 288,
-              "add the new MultiprogConfig field to canon_of");
 Canon canon_of(const graph::MultiprogConfig& config) {
+  const auto& [system, rmat_scale, edge_count, graph_seed] = config;
   Canon c;
-  c.object("system", canon_of(config.system));
-  c.field("rmat_scale", config.rmat_scale);
-  c.field("edge_count", static_cast<std::uint64_t>(config.edge_count));
-  c.field("graph_seed", config.graph_seed);
+  c.object("system", canon_of(system));
+  c.field("rmat_scale", rmat_scale);
+  c.field("edge_count", static_cast<std::uint64_t>(edge_count));
+  c.field("graph_seed", graph_seed);
   return c;
 }
 
-static_assert(sizeof(fault::FaultConfig) == 40,
-              "add the new FaultConfig field to canon_of");
 Canon canon_of(const fault::FaultConfig& config) {
+  const auto& [kind, probability, magnitude, window_begin, window_end] =
+      config;
   Canon c;
-  c.field("kind", to_string(config.kind));
-  c.field("probability", config.probability);
-  c.field("magnitude", static_cast<std::uint64_t>(config.magnitude));
-  c.field("window_begin", static_cast<std::uint64_t>(config.window_begin));
-  c.field("window_end", static_cast<std::uint64_t>(config.window_end));
+  c.field("kind", to_string(kind));
+  c.field("probability", probability);
+  c.field("magnitude", static_cast<std::uint64_t>(magnitude));
+  c.field("window_begin", static_cast<std::uint64_t>(window_begin));
+  c.field("window_end", static_cast<std::uint64_t>(window_end));
   return c;
 }
 

@@ -91,8 +91,9 @@ class Canon {
 
 // Canonical serializations of the config structs that determine cell
 // outputs. Every field participates; adding a struct field without adding
-// it here would silently alias configs, so a static_assert on each
-// struct's size beside its helper fails the build until the field is added.
+// it here would silently alias configs, so each helper first binds its
+// struct's fields by name in a structured binding, whose field count fails
+// the build until the new field is named (one in padding included).
 [[nodiscard]] Canon canon_of(const dram::TimingParams& timing);
 [[nodiscard]] Canon canon_of(const dram::DramConfig& config);
 [[nodiscard]] Canon canon_of(const sys::TlbConfig& config);

@@ -2,22 +2,12 @@
 
 namespace impact::store {
 
-Fingerprint workload_fingerprint(const graph::MultiprogConfig& config,
-                                 graph::WorkloadKind kind) {
-  Canon c;
-  c.field("graph_seed", config.graph_seed);
-  c.field("rmat_scale", config.rmat_scale);
-  c.field("edge_count", static_cast<std::uint64_t>(config.edge_count));
-  c.field("kind", to_string(kind));
-  return c.fingerprint();
-}
-
 const graph::WorkloadInput* WorkloadStore::get(
     const graph::MultiprogConfig& config, graph::WorkloadKind kind) {
-  const Fingerprint fp = workload_fingerprint(config, kind);
+  auto key = std::pair{graph::graph_inputs(config), kind};
   {
     std::scoped_lock lock(mu_);
-    if (auto it = inputs_.find(fp); it != inputs_.end()) {
+    if (auto it = inputs_.find(key); it != inputs_.end()) {
       return it->second.get();
     }
   }
@@ -26,7 +16,7 @@ const graph::WorkloadInput* WorkloadStore::get(
   auto built = std::make_unique<graph::WorkloadInput>(
       graph::build_input(config, kind));
   std::scoped_lock lock(mu_);
-  auto [it, _] = inputs_.emplace(fp, std::move(built));
+  auto [it, _] = inputs_.emplace(std::move(key), std::move(built));
   return it->second.get();
 }
 

@@ -1,11 +1,10 @@
-// Fingerprint-interned pool of immutable graph::WorkloadInputs.
+// Interned pool of immutable graph::WorkloadInputs.
 //
-// graph::build_input is deterministic in (graph_seed, rmat_scale,
-// edge_count, kind) — nothing else in MultiprogConfig reaches the RMAT
-// generator or the trace builder — so two cells whose input fingerprints
-// match can share one build. The store keys on exactly that fingerprint
-// (store::workload_fingerprint), builds at most once per key, and hands
-// out const pointers that stay valid for the store's lifetime.
+// graph::build_input is deterministic in (graph::graph_inputs(config),
+// kind): `system` reaches neither the RMAT generator nor the trace
+// builder, so every policy and system variant of a grid shares one build.
+// The store keys on exactly that pair, builds at most once per key, and
+// hands out const pointers that stay valid for the store's lifetime.
 //
 // Thread safety: get() may be called concurrently from sweep workers.
 // The builder runs outside the lock (a default Fig. 11 build takes
@@ -19,19 +18,11 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <utility>
 
 #include "graph/multiprog.hpp"
-#include "store/fingerprint.hpp"
 
 namespace impact::store {
-
-/// Fingerprint of the workload-input cell: the exact dependency set of
-/// graph::build_input, nothing more. Deliberately narrower than
-/// canon_of(MultiprogConfig) — system-config changes must NOT invalidate
-/// interned inputs, or the store would rebuild identical graphs across a
-/// policy sweep.
-[[nodiscard]] Fingerprint workload_fingerprint(
-    const graph::MultiprogConfig& config, graph::WorkloadKind kind);
 
 class WorkloadStore {
  public:
@@ -40,8 +31,8 @@ class WorkloadStore {
   WorkloadStore& operator=(const WorkloadStore&) = delete;
 
   /// The interned input for (config, kind): built on first use, shared on
-  /// every later call with a matching fingerprint. The pointer is valid
-  /// until the store is destroyed.
+  /// every later call whose graph_inputs and kind compare equal. The
+  /// pointer is valid until the store is destroyed.
   [[nodiscard]] const graph::WorkloadInput* get(
       const graph::MultiprogConfig& config, graph::WorkloadKind kind);
 
@@ -50,7 +41,9 @@ class WorkloadStore {
 
  private:
   mutable std::mutex mu_;
-  std::map<Fingerprint, std::unique_ptr<graph::WorkloadInput>> inputs_;
+  std::map<std::pair<graph::MultiprogConfig, graph::WorkloadKind>,
+           std::unique_ptr<graph::WorkloadInput>>
+      inputs_;
 };
 
 }  // namespace impact::store

@@ -13,6 +13,7 @@
 // exactly as the paper itself does (§5.1).
 #pragma once
 
+#include <compare>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -36,6 +37,8 @@ struct DmaConfig {
   /// §5.1 assumes a powerful attacker who avoids context-switch and most
   /// OS costs; this is the irreducible user-space driver overhead left.
   util::Cycle per_transfer_overhead = 330;
+
+  auto operator<=>(const DmaConfig&) const = default;
 };
 
 struct SystemConfig {
@@ -55,6 +58,8 @@ struct SystemConfig {
   TimerConfig timer{};
   DmaConfig dma{};
   std::uint64_t seed = 42;
+
+  auto operator<=>(const SystemConfig&) const = default;
 
   [[nodiscard]] util::Frequency frequency() const {
     return util::Frequency{freq_ghz};

@@ -7,6 +7,8 @@
 // timed operation, which is part of each attack's per-bit budget.
 #pragma once
 
+#include <compare>
+
 #include "util/units.hpp"
 
 namespace impact::sys {
@@ -14,6 +16,8 @@ namespace impact::sys {
 struct TimerConfig {
   util::Cycle rdtscp_cost = 24;  ///< rdtscp itself.
   util::Cycle cpuid_cost = 28;   ///< Serializing cpuid before the read.
+
+  auto operator<=>(const TimerConfig&) const = default;
 };
 
 /// Emulated timestamp counter bound to an actor's local clock.

@@ -7,6 +7,7 @@
 // attacks; what PiM skips is the *cache hierarchy*, not translation.
 #pragma once
 
+#include <compare>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -22,8 +23,7 @@ struct TlbLevelConfig {
   std::uint32_t ways = 4;
   util::Cycle latency = 1;
 
-  friend bool operator==(const TlbLevelConfig&,
-                         const TlbLevelConfig&) = default;
+  auto operator<=>(const TlbLevelConfig&) const = default;
 };
 
 struct TlbConfig {
@@ -34,7 +34,7 @@ struct TlbConfig {
   std::uint32_t page_bits = 12;       ///< 4 KiB pages.
   std::uint32_t huge_page_bits = 21;  ///< 2 MiB pages.
 
-  friend bool operator==(const TlbConfig&, const TlbConfig&) = default;
+  auto operator<=>(const TlbConfig&) const = default;
 };
 
 struct TlbResult {

@@ -5,6 +5,7 @@
 // converted once, at configuration time, via `Frequency::cycles_for_ns`.
 #pragma once
 
+#include <compare>
 #include <cstdint>
 
 namespace impact::util {
@@ -41,6 +42,8 @@ class Frequency {
     if (cycles == 0) return 0.0;
     return bits / seconds(cycles) / 1e6;
   }
+
+  constexpr auto operator<=>(const Frequency&) const = default;
 
  private:
   double ghz_;

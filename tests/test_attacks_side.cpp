@@ -211,11 +211,10 @@ TEST(SideChannelTest, RejectsAnEmptyVictim) {
 
 // --- One reference per live key -----------------------------------------
 //
-// shared_reference's key is (seed, genome_length, table.buckets,
-// table.max_positions, table.minimizer.k, table.minimizer.w); the other
-// SeedTableConfig fields only stripe the index over the banks
-// (side_channel.cpp's static_asserts on the sizes make a new field get
-// classified here).
+// shared_reference's key is (seed, genome_length, table), the table
+// compared whole by its defaulted comparison with the fields that only
+// stripe the index over the banks (entry_bytes, row_bytes, table_row)
+// reset. A new table field is in the key until it is reset there.
 
 struct ConfigChange {
   const char* field;
@@ -323,10 +322,10 @@ TEST(SharedReference, SpiesBuiltOnAPoolShareOneBuild) {
 
 // --- One victim plan per live key ---------------------------------------
 //
-// shared_victim_plan's key is the reference key plus reads, every readsim
-// and mapper field and the row size (side_channel.cpp's static_asserts on
-// the config sizes make a new field get classified here). Every other
-// field only shapes the device, the attacker or the replay.
+// shared_victim_plan's key is the reference key plus reads, the whole
+// readsim and mapper configs (compared by their defaulted comparisons, so
+// a new field is in the key) and the row size. Every other field only
+// shapes the device, the attacker or the replay.
 
 const ConfigChange kVictimPlanKeyFields[] = {
     {"reads", [](SideChannelConfig& c) { ++c.reads; }},

@@ -575,12 +575,12 @@ INSTANTIATE_TEST_SUITE_P(
 
 // --- The front-end memo's key --------------------------------------------
 //
-// FrontEndMemo keys its entry on the SystemConfig fields the front end
-// reads (same_front_end, multiprog.cpp, whose static_assert on the size
-// of SystemConfig forces a new field to be classified). Every field is
-// either in the key, and changing it must record afresh, or out of it,
-// and then a cold recording under the changed config must count the same
-// cache and TLB events and LLC misses.
+// FrontEndMemo compares the whole SystemConfig, less the groups that
+// multiprog.cpp's front_end_view resets, by its defaulted comparison, so a
+// new field is in the key until the view resets it. Every field is either
+// in the key, and changing it must record afresh, or reset, and then a
+// cold recording under the changed config must count the same cache and
+// TLB events and LLC misses.
 
 struct FieldChange {
   const char* field;
@@ -708,10 +708,9 @@ TEST(FrontEndMemoKey, FieldsOutsideTheKeyLeaveTheFrontEndUnchanged) {
 
 // --- One RMAT graph per live key ------------------------------------------
 //
-// shared_graph's key is (graph_seed, rmat_scale, edge_count); `system` is
-// the only other MultiprogConfig field, and no change to it reaches the
-// generator (multiprog.cpp's static_assert on the size makes a new field
-// get classified here).
+// shared_graph keys on graph_inputs(config): the whole MultiprogConfig,
+// compared by its defaulted comparison, with `system` reset. No change to
+// `system` reaches the generator; a new field is in the key.
 
 struct ConfigChange {
   const char* field;

@@ -523,28 +523,29 @@ TEST(CanonOf, EveryInputChangeChangesTheFingerprint) {
 }
 
 // A workload input depends on the graph fields and the kernel only, so
-// every policy and system variant of a grid shares one build.
+// every policy and system variant of a grid shares one build: each graph
+// field and the kind add an input to the store, no system field does.
 TEST(WorkloadFingerprint, CoversTheGraphInputsAndNothingInSystem) {
   const graph::MultiprogConfig base = tiny_config();
-  const store::Fingerprint reference =
-      store::workload_fingerprint(base, graph::WorkloadKind::kBFS);
-  DistinctFingerprints inputs;
-  inputs.add("(unchanged)", reference);
+  store::WorkloadStore workloads;
+  const graph::WorkloadInput* reference =
+      workloads.get(base, graph::WorkloadKind::kBFS);
+  std::size_t inputs = 1;
   for (const auto& change : kGraphFields) {
     graph::MultiprogConfig config = base;
     change.apply(config);
-    inputs.add(change.field,
-               store::workload_fingerprint(config, graph::WorkloadKind::kBFS));
+    (void)workloads.get(config, graph::WorkloadKind::kBFS);
+    EXPECT_EQ(workloads.size(), ++inputs) << change.field;
   }
-  inputs.add("kind",
-             store::workload_fingerprint(base, graph::WorkloadKind::kPR));
+  (void)workloads.get(base, graph::WorkloadKind::kPR);
+  EXPECT_EQ(workloads.size(), ++inputs) << "kind";
   for (const auto& change : kSystemFields) {
     graph::MultiprogConfig config = base;
     change.apply(config.system);
-    EXPECT_EQ(store::workload_fingerprint(config, graph::WorkloadKind::kBFS),
-              reference)
+    EXPECT_EQ(workloads.get(config, graph::WorkloadKind::kBFS), reference)
         << "system." << change.field;
   }
+  EXPECT_EQ(workloads.size(), inputs);
 }
 
 TEST(CanonOf, FaultProfilesAreOrderSensitiveAndValueSensitive) {

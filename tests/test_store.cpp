@@ -820,7 +820,7 @@ TEST(WorkloadStore, InternsByInputFingerprint) {
   const auto* a = workloads.get(config, graph::WorkloadKind::kBFS);
   const auto* b = workloads.get(config, graph::WorkloadKind::kBFS);
   ASSERT_NE(a, nullptr);
-  EXPECT_EQ(a, b) << "same input fingerprint must share one build";
+  EXPECT_EQ(a, b) << "same graph inputs and kind must share one build";
   EXPECT_EQ(workloads.size(), 1u);
 
   // A system-config change does NOT reach graph::build_input, so it must
